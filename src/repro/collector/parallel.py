@@ -75,24 +75,12 @@ from repro.collector.gr_unit import WindowConfig
 from repro.collector.pool import PolicyPool
 from repro.collector.rewards import DEFAULT_REWARDS, RewardConfig
 from repro.collector.rollout import TICK, collect_trajectory
+from repro.seeding import derive_seed  # also re-exported: this was its home
 
 
 def default_workers() -> int:
     """The default worker count: one per CPU."""
     return max(os.cpu_count() or 1, 1)
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """Deterministic per-task seed from ``(base_seed, index)`` only.
-
-    SplitMix64-style finalizer: adjacent indices map to well-separated
-    32-bit seeds, and the mapping is independent of worker count, chunking,
-    and completion order.
-    """
-    z = (base_seed * 0x9E3779B97F4A7C15 + index + 1) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (z ^ (z >> 31)) & 0xFFFFFFFF
 
 
 # --------------------------------------------------------------------------

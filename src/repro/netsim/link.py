@@ -92,7 +92,8 @@ class Link:
         if now < self._stalled_until:
             self._busy = False
             return
-        self.aqm.current_rate_bps = self.rate.rate_at(now)
+        rate = self.rate.rate_at(now)
+        self.aqm.current_rate_bps = rate
         pkt = self.aqm.dequeue(now)
         if pkt is None:
             self._busy = False
@@ -100,8 +101,8 @@ class Link:
         if self.telemetry is not None:
             self.telemetry.on_dequeue(pkt, now)
         self._busy = True
-        tx_time = pkt.size * 8.0 / max(self.rate.rate_at(now), 1e3)
-        self.loop.call_later(tx_time, lambda p=pkt: self._finish(p))
+        tx_time = pkt.size * 8.0 / (rate if rate > 1e3 else 1e3)
+        self.loop.post(tx_time, self._finish, pkt)
 
     def _finish(self, pkt: Packet) -> None:
         self.delivered_packets += 1

@@ -82,6 +82,12 @@ class Network:
         #: the bottleneck serializer (queue + AQM), for introspection
         self.link = self.topology.links[0].inner
         self._paths: Dict[int, PathConfig] = {}
+        #: sender / receiver entry points: offer a data packet to the
+        #: bottleneck, return an ACK over the uncongested path. They are the
+        #: graph engine's own (a ``ValueError`` for an unattached flow id
+        #: included) — no facade frame per packet.
+        self.send_data = self.topology.send_data
+        self.send_ack = self.topology.send_ack
 
     # -- registration ----------------------------------------------------
     def attach_flow(
@@ -99,26 +105,6 @@ class Network:
         """Forget a flow; its in-flight packets are discarded on arrival."""
         self._view.detach_flow(flow_id)
         del self._paths[flow_id]
-
-    # -- data path ---------------------------------------------------------
-    def send_data(self, pkt: Packet) -> None:
-        """Sender entry point: offer a data packet to the bottleneck."""
-        if pkt.flow_id not in self._paths:
-            raise ValueError(
-                f"flow {pkt.flow_id} is not attached to this network; "
-                f"attach_flow() it before sending data"
-            )
-        self._view.send_data(pkt)
-
-    # -- ack path ----------------------------------------------------------
-    def send_ack(self, ack: Packet) -> None:
-        """Receiver entry point: return an ACK over the uncongested path."""
-        if ack.flow_id not in self._paths:
-            raise ValueError(
-                f"flow {ack.flow_id} is not attached to this network; "
-                f"attach_flow() it before sending ACKs"
-            )
-        self._view.send_ack(ack)
 
     # -- introspection -------------------------------------------------------
     def min_rtt(self, flow_id: int) -> float:

@@ -138,7 +138,42 @@ class TopoLink:
         return self.inner.send(pkt)
 
     def _on_serialized(self, pkt: Packet) -> None:
-        self.topology._on_hop_serialized(self, pkt)
+        """This link finished serializing ``pkt``: propagate it one hop."""
+        topo = self.topology
+        route = topo._routes.get(pkt.flow_id)
+        if route is None:
+            topo.orphaned += 1
+            return
+        arrive = route.next_hop.get(self, _OFF_PATH)
+        if arrive is _OFF_PATH:
+            # stale packet from a path this flow no longer uses
+            topo.orphaned += 1
+            return
+        delay = self.prop_delay
+        if arrive is None:
+            # Final hop: add the flow's access propagation (+ jitter). The
+            # delivered counter means "committed for delivery" — it ticks
+            # here, when the packet leaves the last queue, matching the
+            # historical dumbbell's accounting exactly.
+            path = route.path
+            delay += path.extra_fwd_delay
+            jitter = path.jitter + self.jitter
+            if jitter > 0:
+                delay += topo._jitter_rng.random() * jitter
+            topo.delivered_by_flow[pkt.flow_id] += 1
+            topo.loop.post(delay, route.deliver_data, pkt)
+        else:
+            if self.jitter > 0:
+                delay += topo._jitter_rng.random() * self.jitter
+            topo.loop.post(delay, arrive, pkt)
+
+    def _arrive(self, pkt: Packet) -> None:
+        """``pkt`` reached this link's source node from the previous hop."""
+        topo = self.topology
+        if pkt.flow_id not in topo._routes:
+            topo.orphaned += 1
+        elif not self.send(pkt):
+            topo.dropped_by_flow[pkt.flow_id] += 1
 
     # -- chaos: one-shot link flap --------------------------------------
     def schedule_flap(self, at: float, down_for: float) -> None:
@@ -207,27 +242,47 @@ class FlowPath:
             raise ValueError("path delays must be non-negative")
 
 
+#: ``next_hop`` answer for a link that is not on the flow's path
+_OFF_PATH = object()
+
+
 class _FlowRoute:
     """Resolved per-flow routing state (internal)."""
 
-    __slots__ = ("path", "links", "next_hop", "data_sink", "ack_sink")
+    __slots__ = ("topology", "path", "links", "next_hop", "data_sink", "ack_sink")
 
     def __init__(
         self,
+        topology: "Topology",
         path: FlowPath,
         links: List[TopoLink],
         data_sink: Callable[[Packet], None],
         ack_sink: Callable[[Packet], None],
     ) -> None:
+        self.topology = topology
         self.path = path
         self.links = links
-        #: link id -> following link (None on the last hop)
-        self.next_hop: Dict[int, Optional[TopoLink]] = {
-            id(l): (links[i + 1] if i + 1 < len(links) else None)
+        #: link -> arrival at the following link (None on the last hop)
+        self.next_hop: Dict[TopoLink, Optional[Callable[[Packet], None]]] = {
+            l: (links[i + 1]._arrive if i + 1 < len(links) else None)
             for i, l in enumerate(links)
         }
         self.data_sink = data_sink
         self.ack_sink = ack_sink
+
+    # Both deliveries go to the sink captured when the packet was scheduled,
+    # provided the flow id is (still, or again) attached at arrival.
+    def deliver_data(self, pkt: Packet) -> None:
+        if pkt.flow_id not in self.topology._routes:
+            self.topology.orphaned += 1
+            return
+        self.data_sink(pkt)
+
+    def deliver_ack(self, ack: Packet) -> None:
+        if ack.flow_id not in self.topology._routes:
+            self.topology.orphaned += 1
+            return
+        self.ack_sink(ack)
 
 
 class Topology:
@@ -315,7 +370,7 @@ class Topology:
             self.link_between(u, v)
             for u, v in zip(path.nodes, path.nodes[1:])
         ]
-        self._routes[flow_id] = _FlowRoute(path, links, data_sink, ack_sink)
+        self._routes[flow_id] = _FlowRoute(self, path, links, data_sink, ack_sink)
         self.dropped_by_flow[flow_id] = 0
         self.delivered_by_flow[flow_id] = 0
 
@@ -348,49 +403,6 @@ class Topology:
             self.dropped_by_flow[pkt.flow_id] += 1
         return accepted
 
-    def _on_hop_serialized(self, link: TopoLink, pkt: Packet) -> None:
-        """A packet finished serialization on ``link``: propagate it."""
-        route = self._routes.get(pkt.flow_id)
-        if route is None:
-            self.orphaned += 1
-            return
-        next_link = route.next_hop.get(id(link))
-        if next_link is None and id(link) not in route.next_hop:
-            # stale packet from a path this flow no longer uses
-            self.orphaned += 1
-            return
-        delay = link.prop_delay
-        if next_link is None:
-            # Final hop: add the flow's access propagation (+ jitter). The
-            # delivered counter means "committed for delivery" — it ticks
-            # here, when the packet leaves the last queue, matching the
-            # historical dumbbell's accounting exactly.
-            delay += route.path.extra_fwd_delay
-            jitter = route.path.jitter + link.jitter
-            if jitter > 0:
-                delay += self._jitter_rng.random() * jitter
-            self.delivered_by_flow[pkt.flow_id] += 1
-            sink = route.data_sink
-            self.loop.call_later(delay, lambda p=pkt: self._deliver(sink, p))
-        else:
-            if link.jitter > 0:
-                delay += self._jitter_rng.random() * link.jitter
-            self.loop.call_later(delay, lambda p=pkt, l=next_link: self._forward(l, p))
-
-    def _deliver(self, sink: Callable[[Packet], None], pkt: Packet) -> None:
-        if pkt.flow_id not in self._routes:
-            self.orphaned += 1
-            return
-        sink(pkt)
-
-    def _forward(self, link: TopoLink, pkt: Packet) -> None:
-        """Arrival at an intermediate node: inject into the next link."""
-        if pkt.flow_id not in self._routes:
-            self.orphaned += 1
-            return
-        if not link.send(pkt):
-            self.dropped_by_flow[pkt.flow_id] += 1
-
     # ------------------------------------------------------------------
     # ack path
     # ------------------------------------------------------------------
@@ -402,16 +414,7 @@ class Topology:
                 f"flow {ack.flow_id} is not attached to this topology; "
                 f"attach_flow() it before sending ACKs"
             )
-        sink = route.ack_sink
-        self.loop.call_later(
-            route.path.rev_delay, lambda p=ack: self._deliver_ack(sink, p)
-        )
-
-    def _deliver_ack(self, sink: Callable[[Packet], None], ack: Packet) -> None:
-        if ack.flow_id not in self._routes:
-            self.orphaned += 1
-            return
-        sink(ack)
+        self.loop.post(route.path.rev_delay, route.deliver_ack, ack)
 
     # ------------------------------------------------------------------
     # introspection
@@ -501,19 +504,20 @@ class PathView:
     reverse delay = ``min_rtt/2``.
     """
 
-    __slots__ = ("topology", "nodes", "_prop_sum")
+    __slots__ = ("topology", "nodes", "_prop_sum", "loop", "send_data", "send_ack")
 
     def __init__(self, topology: Topology, nodes: Tuple[str, ...]) -> None:
         self.topology = topology
         self.nodes = nodes
+        self.loop: EventLoop = topology.loop
+        # the per-packet entry points are the topology's own: routing goes
+        # by the packet's flow id, so the view adds nothing to them
+        self.send_data = topology.send_data
+        self.send_ack = topology.send_ack
         self._prop_sum = sum(
             topology.link_between(u, v).prop_delay
             for u, v in zip(nodes, nodes[1:])
         )
-
-    @property
-    def loop(self) -> EventLoop:
-        return self.topology.loop
 
     def attach_flow(self, flow_id, path, data_sink, ack_sink) -> None:
         extra_fwd = max(path.fwd_delay - self._prop_sum, 0.0)
@@ -531,12 +535,6 @@ class PathView:
 
     def detach_flow(self, flow_id: int) -> None:
         self.topology.detach_flow(flow_id)
-
-    def send_data(self, pkt: Packet) -> None:
-        self.topology.send_data(pkt)
-
-    def send_ack(self, ack: Packet) -> None:
-        self.topology.send_ack(ack)
 
     def min_rtt(self, flow_id: int) -> float:
         return self.topology.min_rtt(flow_id)

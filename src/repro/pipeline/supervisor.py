@@ -19,6 +19,7 @@ happens. The contract:
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -192,4 +193,11 @@ class Supervisor:
             st.finished_at = time.time()
             st.info = dict(info or {})
             state.save(self.state_path)
+            # A finished stage leaves cyclic garbage that only a full
+            # collection frees (every simulated Topology, the trainer's
+            # networks), and the simulator allocates too few tracked objects
+            # per event for one to come round before the next stage has
+            # piled its working set on top. 5-11 ms here keeps a stage's
+            # memory from outliving it.
+            gc.collect()
             return

@@ -53,19 +53,19 @@ class Cubic(CongestionControl):
         target = self.C * (t - self.k) ** 3 + self.w_max
 
         # Reno-friendly estimate: what a Reno flow would have by now.
-        rtt_s = max(sock.srtt_or_min, 1e-3)
+        cwnd = sock.cwnd
+        cwnd_or_1 = 1.0 if 1.0 > cwnd else cwnd
         self.w_est_acked += n_acked * (
             3.0 * (1.0 - self.BETA) / (1.0 + self.BETA)
-        ) / max(sock.cwnd, 1.0)
-        target = max(target, self.w_est_acked)
+        ) / cwnd_or_1
+        if self.w_est_acked > target:
+            target = self.w_est_acked
 
-        if target > sock.cwnd:
+        if target > cwnd:
             # Approach the cubic target over roughly one RTT.
-            sock.cwnd += (target - sock.cwnd) / max(sock.cwnd, 1.0) * n_acked
+            sock.cwnd = cwnd + (target - cwnd) / cwnd_or_1 * n_acked
         else:
-            sock.cwnd += 0.01 * n_acked / max(sock.cwnd, 1.0)
-        # unused but kept for parity with the kernel's per-RTT clock
-        del rtt_s
+            sock.cwnd = cwnd + 0.01 * n_acked / cwnd_or_1
 
     def ssthresh(self, sock) -> float:
         # fast convergence: release bandwidth faster when W_max shrinks

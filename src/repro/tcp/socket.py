@@ -19,9 +19,10 @@ like a kernel module mutates ``tcp_sock``.
 
 from __future__ import annotations
 
+from itertools import filterfalse, islice
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.netsim.engine import EventHandle, EventLoop
+from repro.netsim.engine import EventLoop, Timer
 from repro.netsim.network import Network
 from repro.netsim.packet import ACK_BYTES, MSS_BYTES, Packet
 from repro.tcp.cc_base import CongestionControl
@@ -54,6 +55,7 @@ class TcpReceiver:
     __slots__ = (
         "flow_id",
         "network",
+        "loop",
         "delayed_acks",
         "delack_timeout",
         "_received",
@@ -78,6 +80,7 @@ class TcpReceiver:
     ) -> None:
         self.flow_id = flow_id
         self.network = network
+        self.loop: EventLoop = network.loop
         self.delayed_acks = delayed_acks
         self.delack_timeout = delack_timeout
         self._received = set()
@@ -95,50 +98,48 @@ class TcpReceiver:
 
     def on_data(self, pkt: Packet) -> None:
         """Network callback: a data packet arrived; record it and ACK."""
-        now = self.network.loop.now
+        now = self.loop.now
         owd = now - pkt.sent_time
         self.owd_sum += owd
         self.owd_count += 1
         if owd > self.owd_max:
             self.owd_max = owd
-        if pkt.seq >= self.rcv_next and pkt.seq not in self._received:
-            self._received.add(pkt.seq)
+        seq = pkt.seq
+        received = self._received
+        rcv_next = self.rcv_next
+        if seq >= rcv_next and seq not in received:
             self.total_packets += 1
             self.total_bytes += pkt.size
-            if pkt.seq > self.max_seq_seen:
-                self.max_seq_seen = pkt.seq
-            while self.rcv_next in self._received:
-                self._received.discard(self.rcv_next)
-                self.rcv_next += 1
+            if seq > self.max_seq_seen:
+                self.max_seq_seen = seq
+            if seq == rcv_next and not received:
+                rcv_next += 1  # in order, nothing buffered: the common case
+            else:
+                received.add(seq)
+                while rcv_next in received:
+                    received.discard(rcv_next)
+                    rcv_next += 1
+            self.rcv_next = rcv_next
         # SACK-style hole report: sequences missing below the highest seen.
         # The scan is bounded (first 128 holes within a 1024-seq horizon) so
         # a pathological overshoot cannot make ACK generation quadratic;
         # holes beyond the horizon are reported once earlier ones fill.
-        if self.max_seq_seen > self.rcv_next:
-            horizon = min(self.max_seq_seen, self.rcv_next + 1024)
-            holes_list = []
-            for s in range(self.rcv_next, horizon):
-                if s not in self._received:
-                    holes_list.append(s)
-                    if len(holes_list) >= 128:
-                        break
-            holes = tuple(holes_list)
+        max_seen = self.max_seq_seen
+        if max_seen > rcv_next:
+            horizon = rcv_next + 1024
+            if max_seen < horizon:
+                horizon = max_seen
+            holes = tuple(islice(
+                filterfalse(received.__contains__, range(rcv_next, horizon)), 128
+            ))
         else:
             holes = ()
+        # ``is_retx`` carries whether the *triggering data packet* was a
+        # retransmission, so the sender can take exact per-packet RTT
+        # samples while honouring Karn's algorithm.
         ack = Packet(
-            flow_id=self.flow_id,
-            seq=pkt.seq,
-            size=ACK_BYTES,
-            sent_time=now,
-            is_ack=True,
-            # Carries whether the *triggering data packet* was a
-            # retransmission, so the sender can take exact per-packet RTT
-            # samples while honouring Karn's algorithm.
-            is_retx=pkt.is_retx,
-            ack_seq=self.rcv_next,
-            sacked_seq=self.max_seq_seen,
-            sack_holes=holes,
-            ack_of_sent_time=pkt.sent_time,
+            self.flow_id, seq, ACK_BYTES, now, True, pkt.is_retx,
+            rcv_next, max_seen, holes, pkt.sent_time,
         )
         # per-packet CE echo (DCTCP-style exact feedback)
         ack.ece = pkt.ce
@@ -146,7 +147,7 @@ class TcpReceiver:
         if not self.delayed_acks:
             self._emit(ack)
             return
-        out_of_order = holes or pkt.seq != ack.ack_seq - 1
+        out_of_order = holes or seq != rcv_next - 1
         if out_of_order or pkt.ce:
             # dup/SACK/ECN information must not be delayed
             self._flush_pending()
@@ -159,7 +160,7 @@ class TcpReceiver:
             self._emit(ack)
             return
         self._delack_pending = ack
-        self._delack_timer = self.network.loop.call_later(
+        self._delack_timer = self.loop.call_later(
             self.delack_timeout, self._on_delack_timeout
         )
 
@@ -298,7 +299,7 @@ class TcpSender:
         self.total_acks = 0
 
         # -- timers/pacing --
-        self._rto_timer: Optional[EventHandle] = None
+        self._rto_timer = Timer(self.loop, self._on_rto)
         self._pacing_blocked = False
         self._started = False
         self._stopped = False
@@ -339,9 +340,12 @@ class TcpSender:
     def stop(self) -> None:
         """Stop transmitting and cancel timers."""
         self._stopped = True
-        if self._rto_timer is not None:
-            self._rto_timer.cancel()
-            self._rto_timer = None
+        self._rto_timer.cancel()
+        # The timer holds our bound ``_on_rto`` and we hold the timer: drop
+        # the callback, or every finished sender (with its scheme, sets and
+        # network view) waits for the cyclic collector instead of being
+        # freed with its flow.
+        self._rto_timer.callback = None
 
     # ------------------------------------------------------------------
     # sending
@@ -360,23 +364,24 @@ class TcpSender:
     def inflight_bytes(self) -> int:
         return self.inflight * MSS_BYTES
 
-    def _can_send(self) -> bool:
-        return (
-            not self._stopped
-            and not self._pacing_blocked
-            and self.inflight < self.cwnd
-            and (self.size_pkts is None or self.snd_nxt < self.size_pkts)
-        )
-
     def _try_send(self) -> None:
-        while self._can_send():
-            self._transmit(self.snd_nxt, is_retx=False)
+        unacked = self._unacked
+        lost_set = self._lost_set
+        size_pkts = self.size_pkts
+        while not (self._stopped or self._pacing_blocked):
+            # ``inflight < cwnd``, spelled out: this loop runs per packet
+            pipe = len(unacked) - len(lost_set) - self._sacked_est
+            if (pipe if pipe > 0 else 0) >= self.cwnd:
+                break
+            if size_pkts is not None and self.snd_nxt >= size_pkts:
+                break
+            self._transmit(self.snd_nxt, False)
             self.snd_nxt += 1
             rate = self.cc.pacing_rate(self)
             if rate is not None and rate > 0:
                 self._pacing_blocked = True
                 gap = MSS_BYTES * 8.0 / rate
-                self.loop.call_later(gap, self._pacing_done)
+                self.loop.post(gap, TcpSender._pacing_done, self)
                 break
 
     def _pacing_done(self) -> None:
@@ -385,13 +390,7 @@ class TcpSender:
 
     def _transmit(self, seq: int, is_retx: bool) -> None:
         now = self.loop.now
-        pkt = Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size=MSS_BYTES,
-            sent_time=now,
-            is_retx=is_retx,
-        )
+        pkt = Packet(self.flow_id, seq, MSS_BYTES, now, False, is_retx)
         pkt.ect = self.cc.ecn_capable
         self._unacked[seq] = (now, is_retx, self.delivered, self._delivered_time)
         self._lost_set.discard(seq)  # a retransmission re-enters the pipe
@@ -399,7 +398,8 @@ class TcpSender:
         if is_retx:
             self.retransmits += 1
         self.network.send_data(pkt)
-        self._arm_rto()
+        # only live senders transmit, and ``seq`` is now outstanding
+        self._rto_timer.arm(self.rto)
 
     # ------------------------------------------------------------------
     # receiving ACKs
@@ -410,7 +410,8 @@ class TcpSender:
             return
         now = self.loop.now
         new_cum = ack.ack_seq
-        self._high_sacked = max(self._high_sacked, ack.sacked_seq)
+        if ack.sacked_seq > self._high_sacked:
+            self._high_sacked = ack.sacked_seq
 
         # Exact per-packet RTT sample: every ACK echoes the send time of the
         # data packet that triggered it. Karn's algorithm: skip samples for
@@ -429,8 +430,12 @@ class TcpSender:
         else:
             self._dup_acks += 1
 
-        self._update_sacked_estimate(ack)
-        self._sack_loss_detection(ack, now)
+        if self._high_sacked < self.snd_una:
+            self._sacked_est = 0  # nothing received out of order
+        else:
+            self._update_sacked_estimate(ack)
+        if ack.sack_holes or self._dup_acks >= DUPACK_THRESHOLD:
+            self._sack_loss_detection(ack, now)
         self._try_send()
         if (
             self.size_pkts is not None
@@ -447,44 +452,48 @@ class TcpSender:
 
         Within ``[snd_una, high_sacked]`` every non-hole sequence has been
         received out of order; those packets are no longer in the network
-        and must not count against the congestion window.
+        and must not count against the congestion window. The caller has
+        checked that the range is not empty.
         """
-        if self._high_sacked < self.snd_una:
-            self._sacked_est = 0
-            return
+        una = self.snd_una
+        coverage_end = self._high_sacked
         # Only count SACKs inside the range the hole report actually covers.
         # The receiver's scan stops at 1024 sequences past its cumulative ack
         # or at 128 holes, whichever first — beyond that boundary we know
         # nothing, and assuming "received" there made the pipe estimate
         # collapse and the sender overrun the network.
-        coverage_end = min(self._high_sacked, ack.ack_seq + 1024)
-        if len(ack.sack_holes) >= 128:
-            coverage_end = min(coverage_end, ack.sack_holes[-1])
-        if coverage_end < self.snd_una:
+        if ack.ack_seq + 1024 < coverage_end:
+            coverage_end = ack.ack_seq + 1024
+        holes = ack.sack_holes
+        if len(holes) >= 128 and holes[-1] < coverage_end:
+            coverage_end = holes[-1]
+        if coverage_end < una:
             self._sacked_est = 0
             return
-        span = coverage_end - self.snd_una + 1
-        holes_in_span = sum(
-            1 for h in ack.sack_holes if self.snd_una <= h <= coverage_end
-        )
-        self._sacked_est = max(span - holes_in_span, 0)
+        est = coverage_end - una + 1
+        if holes:
+            est -= len([h for h in holes if una <= h <= coverage_end])
+        self._sacked_est = est if est > 0 else 0
 
     def _process_cumulative_ack(self, new_cum: int, now: float) -> None:
         n_acked = 0
         newest_sent = -1.0  # most recent transmit time among non-retx acked
         newest_record = None
         newest_record_sent = -1.0
+        pop_unacked = self._unacked.pop
+        lost_set = self._lost_set
         for seq in range(self.snd_una, new_cum):
-            rec = self._unacked.pop(seq, None)
+            rec = pop_unacked(seq, None)
             if rec is None:
                 continue
             n_acked += 1
-            self._lost_set.discard(seq)
-            sent_time, is_retx, _, _ = rec
+            if lost_set:
+                lost_set.discard(seq)
+            sent_time = rec[0]
             if sent_time > newest_record_sent:
                 newest_record_sent = sent_time
                 newest_record = rec
-            if not is_retx and sent_time > newest_sent:
+            if not rec[1] and sent_time > newest_sent:
                 # Karn's algorithm: only never-retransmitted packets give RTT
                 # samples, and only the most recently sent one — older packets
                 # acked by the same cumulative jump sat behind a hole and
@@ -498,7 +507,8 @@ class TcpSender:
         self._dup_acks = 0
         # Forward progress cancels any RTO exponential backoff (RFC 6298).
         if self.srtt > 0:
-            self.rto = min(max(self.srtt + 4.0 * self.rttvar, RTO_MIN), RTO_MAX)
+            rto = self.srtt + 4.0 * self.rttvar
+            self.rto = RTO_MIN if rto < RTO_MIN else RTO_MAX if rto > RTO_MAX else rto
 
         if n_acked == 0:
             return
@@ -509,10 +519,9 @@ class TcpSender:
         # Delivery-rate sample (kernel rate_sample): packets delivered since
         # the newest acked packet was sent, over the elapsed interval.
         if newest_record is not None:
-            _, _, delivered_snap, delivered_t_snap = newest_record
-            interval = now - delivered_t_snap
+            interval = now - newest_record[3]
             if interval > 1e-9:
-                rate = (self.delivered - delivered_snap) * MSS_BYTES * 8.0 / interval
+                rate = (self.delivered - newest_record[2]) * MSS_BYTES * 8.0 / interval
                 self.delivery_rate = rate
                 if rate > self.max_delivery_rate:
                     self.max_delivery_rate = rate
@@ -533,7 +542,10 @@ class TcpSender:
 
         if self.ca_state == CA_OPEN and not self.external_cwnd_control:
             self.cc.on_ack(self, n_acked, best_sample, now)
-            self.cwnd = min(max(self.cwnd, CongestionControl.MIN_CWND), self.max_cwnd)
+            cwnd = self.cwnd
+            if cwnd < CongestionControl.MIN_CWND:
+                cwnd = CongestionControl.MIN_CWND
+            self.cwnd = self.max_cwnd if self.max_cwnd < cwnd else cwnd
 
         self._arm_rto()
 
@@ -544,12 +556,14 @@ class TcpSender:
         above it have been received (the classic reordering guard). All lost
         holes are retransmitted in the same round, as a SACK-enabled kernel
         would, so a burst drop costs one recovery RTT instead of one RTT per
-        hole.
+        hole. The caller skips ACKs that report no hole below the dupACK
+        threshold: there is nothing to detect on those.
         """
+        una = self.snd_una
+        high = self._high_sacked
         holes = [
-            h
-            for h in ack.sack_holes
-            if h >= self.snd_una and self._high_sacked - h >= DUPACK_THRESHOLD
+            h for h in ack.sack_holes
+            if h >= una and high - h >= DUPACK_THRESHOLD
         ]
         if not holes and not (
             self._dup_acks >= DUPACK_THRESHOLD and self.ca_state == CA_OPEN
@@ -585,7 +599,7 @@ class TcpSender:
                 self.lost_bytes += MSS_BYTES
                 self._lost_set.add(h)
         for h in fresh[:2]:
-            self._transmit(h, is_retx=True)
+            self._transmit(h, True)
 
     def _mark_lost_and_retransmit(self, seq: int) -> None:
         rec = self._unacked.get(seq)
@@ -595,7 +609,7 @@ class TcpSender:
         if seq not in self._lost_set:
             self.lost += 1
             self.lost_bytes += MSS_BYTES
-        self._transmit(seq, is_retx=True)
+        self._transmit(seq, True)
 
     # ------------------------------------------------------------------
     # RTT / RTO
@@ -604,23 +618,25 @@ class TcpSender:
         self.latest_rtt = sample
         if sample < self.min_rtt:
             self.min_rtt = sample
-        if self.srtt == 0.0:
-            self.srtt = sample
-            self.rttvar = sample / 2.0
+        srtt = self.srtt
+        if srtt == 0.0:
+            srtt = sample
+            rttvar = sample / 2.0
         else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = min(max(self.srtt + 4.0 * self.rttvar, RTO_MIN), RTO_MAX)
+            rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - sample)
+            srtt = 0.875 * srtt + 0.125 * sample
+        self.srtt = srtt
+        self.rttvar = rttvar
+        rto = srtt + 4.0 * rttvar
+        self.rto = RTO_MIN if rto < RTO_MIN else RTO_MAX if rto > RTO_MAX else rto
 
     def _arm_rto(self) -> None:
-        if self._rto_timer is not None:
-            self._rto_timer.cancel()
-            self._rto_timer = None
         if self._unacked and not self._stopped:
-            self._rto_timer = self.loop.call_later(self.rto, self._on_rto)
+            self._rto_timer.arm(self.rto)
+        else:
+            self._rto_timer.cancel()
 
     def _on_rto(self) -> None:
-        self._rto_timer = None
         if self._stopped or not self._unacked:
             return
         self.ca_state = CA_LOSS
@@ -640,7 +656,7 @@ class TcpSender:
             if rec[1]:
                 # allow the walk of partial ACKs to retransmit it again
                 self._unacked[seq] = (rec[0], False, rec[2], rec[3])
-        self._transmit(self.snd_una, is_retx=True)
+        self._transmit(self.snd_una, True)
         self._try_send()
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ bytes while mice dominate the count, the canonical web traffic shape), and
 per-session request/response chains with think times.
 
 Determinism contract: every random draw comes from a stream seeded with
-:func:`~repro.collector.parallel.derive_seed` (SplitMix64) keyed by the
+:func:`~repro.seeding.derive_seed` (SplitMix64) keyed by the
 workload seed and the arrival index — never from shared mutable RNG state.
 The same config therefore yields byte-identical schedules across runs,
 worker counts, and generation order, and :func:`schedule_digest` gives a
@@ -21,7 +21,7 @@ import random as _random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.collector.parallel import derive_seed
+from repro.seeding import derive_seed
 
 __all__ = [
     "SIZE_DISTS",

@@ -66,6 +66,24 @@ class TestWorkBounds:
             recv.on_data(Packet(flow_id=0, seq=seq, sent_time=0.0))
         assert all(len(a.sack_holes) <= 128 for a in acks)
 
+    def test_rto_rearming_does_not_bloat_the_heap(self):
+        # re-arming the RTO on every transmit and every ACK used to leave a
+        # cancelled entry behind each time: 1306 heap entries, 82 of them
+        # live, on this very flow
+        from repro.collector.environments import build_network, training_environments
+
+        env = training_environments("mini")[0]
+        loop, net = build_network(env)
+        flow = Flow(net, 0, "cubic", min_rtt=env.min_rtt)
+        flow.start()
+        worst = 0
+        for k in range(1, 501):
+            loop.run_until(0.02 * k)
+            assert len(loop._heap) <= 2 * loop.pending() + 16
+            worst = max(worst, len(loop._heap))
+        assert flow.receiver.total_packets > 10_000
+        assert worst > 20  # the flow did fill its pipe
+
 
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 2,

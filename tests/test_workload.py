@@ -5,6 +5,10 @@ finite flows, end-to-end FCT accounting, the chaos injection points
 (`workload.burst`, `netsim.linkflap`), and the served-workload mode.
 """
 
+import gc
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,27 @@ TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=3, n_atoms=7)
 
 def _dumbbell(bw=48e6, buf=120_000):
     return dumbbell_topology(FlatRate(bw), TailDrop(buf))
+
+
+def test_simulator_only_import_leaves_the_collector_out():
+    # derive_seed used to live in repro.collector.parallel, which made the
+    # 8-line helper cost the workload layer the whole collector
+    # (concurrent.futures.process, multiprocessing) at import time
+    probe = (
+        "import sys; import repro.netsim, repro.tcp, repro.workload; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+        "'multiprocessing' or m.startswith('repro.collector')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+    from repro.collector import parallel
+    from repro.seeding import derive_seed
+
+    assert parallel.derive_seed is derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +216,30 @@ class TestRunWorkload:
         assert sum(b["n"] for b in res.summary.buckets.values()) == (
             res.summary.n_flows
         )
+
+    def test_finished_simulation_is_freed_not_parked(self):
+        # A finished sender must die with its flow (reference counting), not
+        # wait for a generation-2 pass: TcpSender.stop() breaks the
+        # sender <-> RTO timer cycle. Only the topology's own link cycles
+        # may be left for the collector.
+        gc.collect()
+        gc.disable()
+        try:
+            topo = parking_lot_topology(n_segments=3, bw_mbps=48.0)
+            res = run_workload(
+                topo, WorkloadConfig(arrival_rate=100.0, duration=1.0, seed=3)
+            )
+            assert res.summary.n_completed == res.summary.n_flows > 50
+            del topo, res
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            parked = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert "TopoLink" in parked  # the collection did see the topology
+        assert not parked & {"TcpSender", "Timer", "Cubic"}
 
 
 class TestFctSummary:
