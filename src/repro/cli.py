@@ -7,7 +7,6 @@ Usage::
     python -m repro train   --pool pool.npz|shards/ --steps 300 --out sage.npz
     python -m repro league  --schemes cubic,vegas,bbr2 [--agent sage.npz --serve]
     python -m repro deploy  --agent sage.npz --bw 24 --rtt 0.04
-    python -m repro serve-bench --flows 64 [--tiers] [--workload]
     python -m repro topo describe parking_lot --segments 3
     python -m repro topo matrix --schemes cubic,vegas --out matrix.json
     python -m repro aqm matrix --schemes cubic,vegas --out aqm_matrix.json
@@ -15,7 +14,6 @@ Usage::
     python -m repro aqm learn traces/queue_trace_*.npz --out ecn_model.npz
     python -m repro distill fit  --agent sage.npz --pool pool.npz --out tree.npz
     python -m repro distill eval --model tree.npz --agent sage.npz --pool pool.npz
-    python -m repro train-bench --pool pool.npz
     python -m repro pipeline run --workdir run/ [--fault-plan plan.json]
     python -m repro pipeline resume --workdir run/
     python -m repro pipeline status --workdir run/ [--json]
@@ -102,9 +100,8 @@ def _cmd_train(args) -> int:
     run = train_sage_on_pool(
         pool, n_steps=args.steps, n_checkpoints=args.checkpoints,
         net_config=net, crr_config=CRRConfig(), seed=args.seed,
-        log_every=args.log_every, engine=args.engine,
-        prefetch=args.prefetch, sampler_workers=args.workers,
-        grad_workers=args.grad_workers,
+        log_every=args.log_every, prefetch=args.prefetch,
+        sampler_workers=args.workers, grad_workers=args.grad_workers,
     )
     run.agent.save(args.out)
     print(f"trained {run.trainer.steps_done} steps; saved policy to {args.out}")
@@ -159,73 +156,6 @@ def _cmd_deploy(args) -> int:
         f"owd={s.avg_owd * 1e3:.1f} ms  loss={s.loss_rate:.4f}  "
         f"mean-reward={float(np.mean(result.rewards)):.3f}"
     )
-    return 0
-
-
-def _cmd_train_bench(args) -> int:
-    from repro.core.crr import CRRConfig
-    from repro.core.networks import NetworkConfig
-    from repro.datastore import open_pool
-    from repro.train.bench import format_report, run_train_bench, write_report
-
-    pool = open_pool(args.pool) if args.pool else None
-    net = NetworkConfig(
-        enc_dim=args.enc_dim, gru_dim=args.gru_dim,
-        n_components=args.components, n_atoms=args.atoms,
-    )
-    schemes = args.schemes.split(",") if args.schemes else None
-    scaling = (
-        tuple(int(n) for n in args.scaling_workers.split(","))
-        if args.scaling_workers else None
-    )
-    result = run_train_bench(
-        pool=pool, steps=args.steps, eq_steps=args.eq_steps, seed=args.seed,
-        net_config=net, crr_config=CRRConfig(), prefetch=args.prefetch,
-        sampler_workers=args.workers, schemes=schemes,
-        collect_workers=args.collect_workers,
-        scaling_workers=scaling, scaling_steps=args.scaling_steps,
-    )
-    print(format_report(result))
-    write_report(result, args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_serve_bench(args) -> int:
-    from repro.core.networks import NetworkConfig
-    from repro.serve.bench import format_report, run_serve_bench, write_report
-    from repro.serve.harness import WorkloadServeConfig
-
-    net = NetworkConfig(
-        enc_dim=args.enc_dim, gru_dim=args.gru_dim,
-        n_components=args.components, n_atoms=args.atoms,
-    )
-    tiers_kwargs = {}
-    if args.tiers:
-        tiers_kwargs = {
-            "target_coverage": args.coverage,
-            "refresh_every": args.refresh,
-            "with_league": not args.no_league,
-            "league_duration": args.league_duration,
-        }
-    workload_config = None
-    if args.workload:
-        workload_config = WorkloadServeConfig(
-            topology=args.topology,
-            arrival_rate=args.arrival_rate,
-            duration=args.workload_duration,
-            mean_size_bytes=args.mean_size_kb * 1000.0,
-            seed=args.seed,
-        )
-    result = run_serve_bench(
-        flows=args.flows, ticks=args.ticks, seed=args.seed, net_config=net,
-        with_harness=not args.no_harness,
-        tiers=args.tiers, tiers_kwargs=tiers_kwargs,
-        workload=args.workload, workload_config=workload_config,
-    )
-    print(format_report(result))
-    write_report(result, args.out)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -636,9 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log-every", type=int, default=0, dest="log_every")
     p.add_argument("--out", default="sage.npz")
-    p.add_argument("--engine", choices=("fast", "legacy"), default="fast",
-                   help="fused sequence-level engine (default) or the "
-                        "per-timestep reference trainer")
     p.add_argument("--prefetch", type=int, default=0,
                    help="batches prepared ahead by the sampler "
                         "(0 = synchronous, legacy-identical RNG stream)")
@@ -669,36 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=10.0)
     _add_net_args(p)
     p.set_defaults(func=_cmd_deploy)
-
-    p = sub.add_parser(
-        "train-bench",
-        help="benchmark the fused training engine vs the legacy trainer",
-    )
-    p.add_argument("--pool", default="",
-                   help="saved pool .npz (default: collect the mini pool)")
-    p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--eq-steps", type=int, default=10, dest="eq_steps",
-                   help="same-seed equivalence-check steps")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prefetch", type=int, default=2)
-    p.add_argument("--workers", type=int, default=2,
-                   help="sampler threads for the fused engine")
-    p.add_argument("--collect-workers", type=int, default=1,
-                   dest="collect_workers",
-                   help="rollout processes when collecting the pool")
-    p.add_argument("--schemes", default="", help="comma-separated subset "
-                   "for pool collection")
-    p.add_argument("--scaling-workers", default="1,2,4",
-                   dest="scaling_workers",
-                   help="comma-separated data-parallel worker counts for "
-                        "the worker-scaling curve (empty to skip)")
-    p.add_argument("--scaling-steps", type=int, default=12,
-                   dest="scaling_steps",
-                   help="training steps per worker count in the scaling "
-                        "curve")
-    p.add_argument("--out", default="BENCH_train.json")
-    _add_net_args(p)
-    p.set_defaults(func=_cmd_train_bench)
 
     p = sub.add_parser(
         "pool", help="manage sharded trajectory stores (the data plane)"
@@ -839,45 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "e.g. collector=8,train=12")
     q.add_argument("--out", default="", help="write the plan JSON here")
     q.set_defaults(func=_cmd_chaos_plan)
-
-    p = sub.add_parser(
-        "serve-bench",
-        help="benchmark batched multi-flow serving vs batch=1 agents",
-    )
-    p.add_argument("--flows", type=int, default=64)
-    p.add_argument("--ticks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-harness", action="store_true", dest="no_harness",
-                   help="skip the end-to-end multi-flow network harness")
-    p.add_argument("--tiers", action="store_true",
-                   help="also benchmark the tiered router (distilled "
-                        "symbolic tier 0 in front of the batched NN)")
-    p.add_argument("--coverage", type=float, default=0.98,
-                   help="distilled gate's target training coverage")
-    p.add_argument("--refresh", type=int, default=32,
-                   help="forced NN refresh interval (ticks per flow)")
-    p.add_argument("--no-league", action="store_true", dest="no_league",
-                   help="skip the league-fidelity check in --tiers mode")
-    p.add_argument("--league-duration", type=float, default=10.0,
-                   dest="league_duration",
-                   help="per-env seconds for the league-fidelity check")
-    p.add_argument("--workload", action="store_true",
-                   help="also serve an open-loop workload (Poisson arrivals "
-                        "of short served flows) and report FCT percentiles")
-    p.add_argument("--topology", default="dumbbell",
-                   help="topology class for --workload mode")
-    p.add_argument("--arrival-rate", type=float, default=200.0,
-                   dest="arrival_rate",
-                   help="sessions/second for --workload mode")
-    p.add_argument("--workload-duration", type=float, default=5.0,
-                   dest="workload_duration",
-                   help="arrival-window seconds for --workload mode")
-    p.add_argument("--mean-size-kb", type=float, default=30.0,
-                   dest="mean_size_kb",
-                   help="mean flow size (KB) for --workload mode")
-    p.add_argument("--out", default="BENCH_serve.json")
-    _add_net_args(p)
-    p.set_defaults(func=_cmd_serve_bench)
 
     p = sub.add_parser(
         "topo",

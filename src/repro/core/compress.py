@@ -2,7 +2,9 @@
 
 The paper points at three orthogonal lines of work for cutting the deployed
 model's CPU cost — pruning redundant units, quantization, and knowledge
-distillation. Each is implemented here against the numpy policy:
+distillation. The first two are implemented here against the numpy policy;
+the distiller that is trained, saved, hot-reloaded and served is the
+symbolic tree of :mod:`repro.distill`.
 
 - :func:`prune_magnitude` — global magnitude pruning of weight matrices
   (Frankle & Carbin-style one-shot), keeping the top ``1 - sparsity``
@@ -10,24 +12,15 @@ distillation. Each is implemented here against the numpy policy:
 - :func:`quantize_per_tensor` — symmetric per-tensor int8 simulation: each
   weight matrix is rounded onto a 256-level grid (the dequantized weights
   stay float so the FastPolicy path is unchanged).
-- :class:`DistillationTrainer` — trains a smaller student policy to match a
-  teacher's action distribution over the pool's states (on-policy moment
-  matching on the GMM mode + mixture log-likelihood).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.collector.gr_unit import normalize_state
-from repro.collector.pool import PolicyPool
-from repro.core.agent import SageAgent
-from repro.core.networks import NetworkConfig, SagePolicy, log_action
-from repro.nn.autograd import Tensor, no_grad, stack_rows
 from repro.nn.layers import Module
-from repro.nn.optim import Adam, clip_grad_norm
 
 
 def prune_magnitude(module: Module, sparsity: float) -> Dict[str, float]:
@@ -77,69 +70,6 @@ def quantize_per_tensor(module: Module, n_bits: int = 8) -> Dict[str, float]:
         report[name] = float(np.abs(quantized - p.data).max())
         p.data = quantized
     return report
-
-
-class DistillationTrainer:
-    """Distill a (large) teacher policy into a smaller student.
-
-    The student maximizes the likelihood of the teacher's *deterministic*
-    actions over states drawn from the pool — matching what the deployed
-    (mode-acting) teacher would do, which is exactly the behaviour worth
-    preserving.
-    """
-
-    def __init__(
-        self,
-        teacher: SagePolicy,
-        student_config: NetworkConfig,
-        pool: PolicyPool,
-        batch_size: int = 16,
-        seq_len: int = 8,
-        lr: float = 1e-3,
-        seed: int = 0,
-    ) -> None:
-        self.teacher = teacher
-        self.pool = pool
-        self.batch_size = batch_size
-        self.seq_len = seq_len
-        self.rng = np.random.default_rng(seed)
-        self.student = SagePolicy(student_config, self.rng)
-        self.opt = Adam(self.student.parameters(), lr=lr)
-        self.steps_done = 0
-
-    def train_step(self) -> float:
-        batch = self.pool.sample_sequences(
-            self.batch_size, self.seq_len, self.rng, normalize=normalize_state
-        )
-        states = batch["states"]
-        with no_grad():
-            teacher_feats = self.teacher.features_seq(states)
-            targets = np.stack(
-                [self.teacher.mode(teacher_feats[t]) for t in range(self.seq_len)],
-                axis=1,
-            )  # (B, L) ratios
-        log_t = log_action(targets)
-        feats = self.student.features_seq(states)
-        losses = [
-            (self.student.log_prob(feats[t], log_t[:, t]) * -1.0).mean()
-            for t in range(self.seq_len)
-        ]
-        loss = stack_rows(losses).mean()
-        self.opt.zero_grad()
-        loss.backward()
-        clip_grad_norm(self.student.parameters(), 10.0)
-        self.opt.step()
-        self.steps_done += 1
-        return float(loss.data)
-
-    def train(self, n_steps: int) -> float:
-        loss = float("nan")
-        for _ in range(n_steps):
-            loss = self.train_step()
-        return loss
-
-    def agent(self, name: str = "sage-distilled") -> SageAgent:
-        return SageAgent(self.student, name=name)
 
 
 def param_count(module: Module) -> int:

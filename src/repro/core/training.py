@@ -137,7 +137,6 @@ def train_sage_on_pool(
     crr_config: Optional[CRRConfig] = None,
     seed: int = 0,
     log_every: int = 0,
-    engine: str = "fast",
     prefetch: int = 0,
     sampler_workers: int = 1,
     grad_workers: int = 0,
@@ -149,32 +148,27 @@ def train_sage_on_pool(
     ``n_checkpoints`` evenly-spaced snapshots stand in for the paper's seven
     daily checkpoints in Fig. 7.
 
-    ``engine`` picks the trainer: ``"fast"`` (default) is the fused
-    :class:`~repro.train.engine.FastCRRTrainer`; ``"legacy"`` is the
-    per-timestep :class:`CRRTrainer`. With the default ``prefetch=0`` the
-    fast engine consumes the *same RNG stream* as the legacy one, so a
-    run's sampled batches and drawn actions are identical either way and
-    the learning curves agree to float rounding. ``prefetch>0`` overlaps
-    batch assembly with the optimizer on ``sampler_workers`` threads
-    (deterministic, but a different — still seed-reproducible — batch
-    order; see :mod:`repro.train.sampler`).
+    Training runs on the fused :class:`~repro.train.engine.FastCRRTrainer`.
+    With the default ``prefetch=0`` it consumes the *same RNG stream* as the
+    per-timestep reference :class:`CRRTrainer`, so the sampled batches and
+    drawn actions are identical and the learning curves agree to float
+    rounding. ``prefetch>0`` overlaps batch assembly with the optimizer on
+    ``sampler_workers`` threads (deterministic, but a different — still
+    seed-reproducible — batch order; see :mod:`repro.train.sampler`).
 
-    ``grad_workers > 0`` (fast engine only) trains through N data-parallel
-    gradient processes — the
-    :class:`~repro.train.parallel.DataParallelTrainer`. Results are
+    ``grad_workers > 0`` trains through N data-parallel gradient processes
+    — the :class:`~repro.train.parallel.DataParallelTrainer`. Results are
     bit-identical for any worker count dividing the grain width, but on a
     *different* (per-(step, grain)) seed stream than ``grad_workers=0``.
     """
     if n_steps < n_checkpoints:
         raise ValueError("need at least one step per checkpoint")
-    if grad_workers > 0 and engine != "fast":
-        raise ValueError("grad_workers needs the fast engine")
     if grad_workers > 0 and prefetch:
         raise ValueError(
             "grad_workers and prefetch are mutually exclusive: the "
             "data-parallel engine samples inside its worker processes"
         )
-    if engine == "fast" and grad_workers > 0:
+    if grad_workers > 0:
         from repro.train.parallel import DataParallelTrainer
 
         trainer: CRRTrainer = DataParallelTrainer(
@@ -185,7 +179,7 @@ def train_sage_on_pool(
             grad_workers=grad_workers,
             chaos=chaos,
         )
-    elif engine == "fast":
+    else:
         from repro.train.engine import FastCRRTrainer
 
         trainer = FastCRRTrainer(
@@ -197,27 +191,13 @@ def train_sage_on_pool(
             sampler_workers=sampler_workers,
             chaos=chaos,
         )
-    elif engine == "legacy":
-        if chaos is not None or guard is not None:
-            raise ValueError(
-                "chaos / guard need the fast engine; the legacy trainer "
-                "has no fault hooks"
-            )
-        trainer = CRRTrainer(
-            pool, net_config=net_config, config=crr_config, seed=seed
-        )
-    else:
-        raise ValueError(f"engine must be fast/legacy, got {engine!r}")
     run = TrainingRun(
         agent=SageAgent(trainer.policy, name="sage"),
         trainer=trainer,
     )
     per_ckpt = n_steps // n_checkpoints
     for day in range(n_checkpoints):
-        if engine == "fast":
-            trainer.train(per_ckpt, log_every=log_every, guard=guard)
-        else:
-            trainer.train(per_ckpt, log_every=log_every)
+        trainer.train(per_ckpt, log_every=log_every, guard=guard)
         run.checkpoints.append(trainer.policy.state_dict())
         run.checkpoint_steps.append(trainer.steps_done)
     # stop gradient-worker processes, then release the pool's concat cache

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.persist import file_crc32, write_json_atomic
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -34,17 +35,6 @@ QUARANTINE_DIR = "quarantine"
 
 #: the three arrays every shard is made of
 SHARD_PARTS = ("states", "actions", "rewards")
-
-
-def file_crc32(path: Path, chunk_bytes: int = 1 << 20) -> int:
-    """CRC32 of a file's raw bytes, streamed in bounded chunks."""
-    crc = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(chunk_bytes)
-            if not chunk:
-                return crc
-            crc = zlib.crc32(chunk, crc)
 
 
 @dataclass
@@ -168,11 +158,7 @@ class Manifest:
 
     def save(self, root) -> None:
         """Atomically (re)write ``root/manifest.json``."""
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        tmp = root / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, root / MANIFEST_NAME)
+        write_json_atomic(Path(root) / MANIFEST_NAME, self.to_json())
 
     @classmethod
     def load(cls, root) -> "Manifest":

@@ -32,8 +32,8 @@ from repro.datastore.manifest import (
     ShardFile,
     ShardRecord,
     TrajectoryRecord,
-    file_crc32,
 )
+from repro.persist import file_crc32
 
 __all__ = ["ShardWriter", "StoreFullError", "DEFAULT_SHARD_BYTES"]
 

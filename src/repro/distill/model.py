@@ -10,7 +10,7 @@ RegressionTree` with everything the serving router needs:
   ``refresh_every`` ticks per flow, bounding how stale the hidden-summary
   features can get;
 - **.npz persistence** with a schema version and a CRC32 sidecar, the same
-  tmp-then-``os.replace`` + integrity-check contract as train checkpoints:
+  tmp-then-rename + integrity-check contract as train checkpoints:
   a crash mid-write never leaves a truncated file under the real name, and
   a corrupt file raises ``ValueError`` instead of half-loading.
 """
@@ -18,9 +18,7 @@ RegressionTree` with everything the serving router needs:
 from __future__ import annotations
 
 import json
-import os
 import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -35,6 +33,7 @@ from repro.distill.dataset import (
     hidden_summary,
 )
 from repro.distill.tree import RegressionTree, TreeConfig
+from repro.persist import verify_sidecar, write_npz_atomic
 
 #: bump when the .npz layout changes; loaders reject other versions
 SCHEMA_VERSION = 1
@@ -115,8 +114,6 @@ class DistilledPolicy:
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Atomically write the controller, with a CRC32 sidecar."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "meta/schema_version": np.array([SCHEMA_VERSION], dtype=np.int64),
             "meta/conf_threshold": np.array([self.conf_threshold]),
@@ -134,41 +131,13 @@ class DistilledPolicy:
             "tree/value": self.tree.value,
             "tree/conf": self.tree.conf,
         }
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        os.replace(tmp, path)
-        crc = 0
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                crc = zlib.crc32(block, crc)
-        sidecar = path.with_name(path.name + ".crc32")
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_text(
-            json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-            + "\n"
-        )
-        os.replace(tmp, sidecar)
+        write_npz_atomic(path, payload)
 
     @classmethod
     def load(cls, path) -> "DistilledPolicy":
         """Load and verify a :meth:`save` file; ``ValueError`` on corruption."""
         path = Path(path)
-        sidecar = path.with_name(path.name + ".crc32")
-        if sidecar.exists():
-            expected = json.loads(sidecar.read_text())
-            crc = 0
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    crc = zlib.crc32(block, crc)
-            if (
-                (crc & 0xFFFFFFFF) != int(expected["crc32"])
-                or path.stat().st_size != int(expected["bytes"])
-            ):
-                raise ValueError(
-                    f"distilled checkpoint {path} fails its integrity check "
-                    f"(crc/size mismatch vs {sidecar.name}); refusing to load"
-                )
+        verify_sidecar(path, "distilled checkpoint")
         try:
             data = np.load(path, allow_pickle=False)
         except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:

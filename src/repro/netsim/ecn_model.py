@@ -16,20 +16,20 @@ module owns the forward pass and persistence.
 
 Persistence follows the repo's checkpoint contract (same as
 ``repro.distill`` and train checkpoints): schema-versioned ``.npz``, CRC32
-sidecar, tmp-then-``os.replace`` atomic writes, and a clear ``ValueError``
+sidecar, tmp-then-rename atomic writes, and a clear ``ValueError``
 instead of a half-loaded model on corruption.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import zipfile
-import zlib
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from repro.persist import verify_sidecar, write_npz_atomic
 
 __all__ = [
     "EcnPredictor", "FEATURES", "FEATURE_DIM", "SCHEMA_VERSION",
@@ -150,8 +150,6 @@ class EcnPredictor:
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Atomically write the predictor, with a CRC32 sidecar."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "meta/schema_version": np.array([SCHEMA_VERSION], dtype=np.int64),
             "meta/json": np.frombuffer(
@@ -163,42 +161,13 @@ class EcnPredictor:
             "model/w2": self.w2,
             "model/b2": self.b2,
         }
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        os.replace(tmp, path)
-        crc = 0
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                crc = zlib.crc32(block, crc)
-        sidecar = path.with_name(path.name + ".crc32")
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_text(
-            json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-            + "\n"
-        )
-        os.replace(tmp, sidecar)
+        write_npz_atomic(path, payload)
 
     @classmethod
     def load(cls, path) -> "EcnPredictor":
         """Load and verify a :meth:`save` file; ``ValueError`` on corruption."""
         path = Path(path)
-        sidecar = path.with_name(path.name + ".crc32")
-        if sidecar.exists():
-            expected = json.loads(sidecar.read_text())
-            crc = 0
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    crc = zlib.crc32(block, crc)
-            if (
-                (crc & 0xFFFFFFFF) != int(expected["crc32"])
-                or path.stat().st_size != int(expected["bytes"])
-            ):
-                raise ValueError(
-                    f"ECN predictor checkpoint {path} fails its integrity "
-                    f"check (crc/size mismatch vs {sidecar.name}); refusing "
-                    f"to load"
-                )
+        verify_sidecar(path, "ECN predictor checkpoint")
         try:
             data = np.load(path, allow_pickle=False)
         except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.persist import write_json_atomic
 from repro.pipeline.supervisor import StageSpec, Supervisor
 
 __all__ = ["PipelineConfig", "build_pipeline", "build_supervisor"]
@@ -494,9 +495,7 @@ def _stage_eval(ctx: Dict) -> Dict:
         "mean_reward": float(np.mean(result.rewards)),
         "serve": metrics,
     }
-    tmp = cfg.eval_path.with_name(cfg.eval_path.name + ".tmp")
-    tmp.write_text(json.dumps(summary, indent=1) + "\n")
-    os.replace(tmp, cfg.eval_path)
+    write_json_atomic(cfg.eval_path, summary)
     summary["events"] = events
     return summary
 

@@ -5,7 +5,7 @@ run's configuration, every stage's status/attempts/timing/outcome, and an
 append-only event log of what the supervisor observed and did — including
 every fault the resilience layer caught and the recovery action it took.
 
-The file is rewritten atomically (tmp + ``os.replace``) after **every**
+The file is rewritten atomically (tmp, then rename) after **every**
 state transition, so a ``kill -9`` at any instant leaves either the state
 before the transition or the state after it, never a torn file. A stage
 found ``running`` on load is the signature of an interrupted run: the
@@ -15,11 +15,12 @@ supervisor restarts that stage on resume.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.persist import write_json_atomic
 
 __all__ = ["StageState", "PipelineState", "STATUSES"]
 
@@ -122,11 +123,7 @@ class PipelineState:
 
     def save(self, path) -> None:
         """Atomic tmp-then-rename write; survives kill -9 at any instant."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "PipelineState":

@@ -16,8 +16,9 @@ serving metrics throughout.
   any :mod:`~repro.netsim.topo` class, FCT percentiles in the metrics).
 - :mod:`~repro.serve.metrics` — latency percentiles, batch histogram,
   fallback rate.
-- :mod:`~repro.serve.bench` — batched-vs-batch=1 throughput measurement
-  (``BENCH_serve.json``).
+
+Serving speed is measured from outside the package, by
+``python3 benchmarks/e2e/run.py --workload serve_ticks``.
 """
 
 from repro.serve.client import ServedAgent

@@ -10,9 +10,9 @@ roll up into **tiers**:
   deadline, not a different answerer);
 - tier 2 (``heuristic``): the CUBIC/AIMD fallback.
 
-``snapshot()`` renders the JSON-able summary that ``BENCH_serve.json``,
-the CLI, and the harness report. ``invalid_actions`` keeps its historical
-meaning: non-finite policy outputs caught before they reach a sender.
+``snapshot()`` renders the JSON-able summary the harness results carry.
+``invalid_actions`` keeps its historical meaning: non-finite policy outputs
+caught before they reach a sender.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ policy handles worst. A snapshot captures the **complete** decision-
 relevant state, so a server killed mid-workload and restored from its last
 snapshot emits a decision stream bitwise identical to one that never died.
 
-File format: one ``.npz`` (tmp-then-``os.replace``) with a CRC32 sidecar —
+File format: one ``.npz`` (tmp-then-rename) with a CRC32 sidecar —
 the same atomicity/integrity contract as train checkpoints and distilled
 controllers. Numeric columns are stored as arrays; sessions, RNG states,
 pending submissions' metadata, and metrics ride in an embedded JSON blob
@@ -23,9 +23,7 @@ shapes differ, so keep checkpoints and snapshots together.
 from __future__ import annotations
 
 import json
-import os
 import zipfile
-import zlib
 from pathlib import Path
 from typing import Dict, TYPE_CHECKING
 
@@ -34,6 +32,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.engine import PolicyServer
 
+from repro.persist import verify_sidecar, write_npz_atomic
 from repro.serve.fallback import make_fallback
 from repro.serve.metrics import ServingMetrics
 
@@ -44,49 +43,9 @@ SNAPSHOT_SCHEMA_VERSION = 1
 _COLUMNS = ("last_ratio", "cwnd_est", "miss_streak", "degraded", "nn_age")
 
 
-def _write_npz_atomic(path: Path, payload: Dict[str, np.ndarray]) -> None:
-    """tmp-then-replace ``.npz`` write plus a CRC32 sidecar."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **payload)
-    os.replace(tmp, path)
-    crc = 0
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            crc = zlib.crc32(block, crc)
-    sidecar = path.with_name(path.name + ".crc32")
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    tmp.write_text(
-        json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-        + "\n"
-    )
-    os.replace(tmp, sidecar)
-
-
-def _verify_sidecar(path: Path) -> None:
-    sidecar = path.with_name(path.name + ".crc32")
-    if not sidecar.exists():
-        return
-    expected = json.loads(sidecar.read_text())
-    crc = 0
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            crc = zlib.crc32(block, crc)
-    if (
-        (crc & 0xFFFFFFFF) != int(expected["crc32"])
-        or path.stat().st_size != int(expected["bytes"])
-    ):
-        raise ValueError(
-            f"server snapshot {path} fails its integrity check (crc/size "
-            f"mismatch vs {sidecar.name}); refusing to load"
-        )
-
-
 # ---------------------------------------------------------------------------
 def save_snapshot(server: "PolicyServer", path) -> None:
     """Atomically persist the server's complete per-flow serving state."""
-    path = Path(path)
     sessions = []
     for flow_id, sess in server._sessions.items():
         entry: Dict = {
@@ -137,7 +96,7 @@ def save_snapshot(server: "PolicyServer", path) -> None:
         "pending/states": pending_states,
         "pending/cwnd": pending_cwnd,
     }
-    _write_npz_atomic(path, payload)
+    write_npz_atomic(path, payload)
 
 
 def load_snapshot(server: "PolicyServer", path) -> None:
@@ -150,7 +109,7 @@ def load_snapshot(server: "PolicyServer", path) -> None:
     from repro.serve.engine import _FlowSession  # local: import cycle
 
     path = Path(path)
-    _verify_sidecar(path)
+    verify_sidecar(path, "server snapshot")
     try:
         data = np.load(path, allow_pickle=False)
     except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:

@@ -38,8 +38,6 @@ short-circuit them after round 0.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import shutil
 import time
 from pathlib import Path
@@ -48,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.chaos.process import DEFAULT_RATES, FaultProcess
+from repro.persist import write_json_atomic
 from repro.soak.report import (
     SOAK_SCHEMA_VERSION,
     FaultObserver,
@@ -232,10 +231,7 @@ class _Soak:
         self.violations.append({"invariant": invariant, "detail": detail})
 
     def _save_journal(self, root: Path) -> None:
-        path = root / "soak_journal.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.journal, indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json_atomic(root / "soak_journal.json", self.journal)
 
     # -- chaos ----------------------------------------------------------
     def _injector(self, round_index: int, pipe_cfg):

@@ -16,9 +16,9 @@ restructures the step around sequence-level kernels:
 - :mod:`~repro.train.parallel` — :class:`DataParallelTrainer`, N gradient
   worker processes over per-(step, grain) seed streams with a canonical
   grain-order all-reduce: bit-identical results for any worker count.
-- :mod:`~repro.train.bench` — the fused-vs-legacy training-throughput
-  benchmark behind ``python -m repro train-bench`` / ``BENCH_train.json``,
-  including the worker-scaling curve.
+
+Step throughput is measured from outside the package, by
+``python3 benchmarks/e2e/run.py --workload store_train``.
 """
 
 from repro.train.engine import FastCRRTrainer

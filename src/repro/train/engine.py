@@ -31,10 +31,8 @@ regression test pins this tolerance.
 from __future__ import annotations
 
 import json
-import os
 import time
 import zipfile
-import zlib
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -46,6 +44,7 @@ from repro.core.networks import NetworkConfig, log_action
 from repro.nn.autograd import Tensor
 from repro.nn.functional import softmax_np
 from repro.nn.optim import clip_grad_norm
+from repro.persist import verify_sidecar, write_npz_atomic
 from repro.train import fastpath as fp
 from repro.train.sampler import SequenceSampler
 
@@ -515,30 +514,11 @@ class FastCRRTrainer(CRRTrainer):
     def save_checkpoint(self, path: str) -> None:
         """Atomically write the full training state, with a CRC sidecar.
 
-        The payload goes to a ``*.tmp`` file first and is ``os.replace``d
-        into place — a crash mid-write can never leave a truncated
-        checkpoint under the real name. ``<path>.crc32`` records the
-        final file's checksum so :meth:`load_checkpoint` can reject silent
-        corruption. (The npz is written through an open handle because
-        ``np.savez`` appends ``.npz`` to bare paths.)
+        A crash mid-write can never leave a truncated checkpoint under the
+        real name, and ``<path>.crc32`` lets :meth:`load_checkpoint` reject
+        silent corruption (see :mod:`repro.persist`).
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **self._state_payload())
-        os.replace(tmp, path)
-        crc = 0
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                crc = zlib.crc32(block, crc)
-        sidecar = path.with_name(path.name + ".crc32")
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_text(
-            json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-            + "\n"
-        )
-        os.replace(tmp, sidecar)
+        write_npz_atomic(path, self._state_payload())
 
     def load_checkpoint(self, path: str) -> None:
         """Restore a :meth:`save_checkpoint` file, verifying integrity.
@@ -548,21 +528,7 @@ class FastCRRTrainer(CRRTrainer):
         rather than half-loading state.
         """
         path = Path(path)
-        sidecar = path.with_name(path.name + ".crc32")
-        if sidecar.exists():
-            expected = json.loads(sidecar.read_text())
-            crc = 0
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    crc = zlib.crc32(block, crc)
-            if (
-                (crc & 0xFFFFFFFF) != int(expected["crc32"])
-                or path.stat().st_size != int(expected["bytes"])
-            ):
-                raise ValueError(
-                    f"checkpoint {path} fails its integrity check "
-                    f"(crc/size mismatch vs {sidecar.name}); refusing to load"
-                )
+        verify_sidecar(path, "checkpoint")
         try:
             with np.load(path, allow_pickle=False) as data:
                 self._apply_payload(data, list(data.files))

@@ -69,16 +69,6 @@ class TestParser:
         args = build_parser().parse_args(["collect", "--task-timeout", "30"])
         assert args.task_timeout == 30.0
 
-    def test_serve_bench_tiers_flags(self):
-        args = build_parser().parse_args(
-            ["serve-bench", "--tiers", "--coverage", "0.9", "--refresh",
-             "16", "--no-league"]
-        )
-        assert args.tiers and args.coverage == 0.9
-        assert args.refresh == 16 and args.no_league
-        args = build_parser().parse_args(["serve-bench"])
-        assert not args.tiers  # tiered section is opt-in
-
     def test_distill_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["distill"])
@@ -160,16 +150,6 @@ class TestTopoCli:
     def test_collect_topology_flag(self):
         args = build_parser().parse_args(["collect", "--topology", "incast"])
         assert args.topology == "incast"
-
-    def test_serve_bench_workload_flags(self):
-        args = build_parser().parse_args(
-            ["serve-bench", "--workload", "--topology", "parking_lot",
-             "--arrival-rate", "150", "--workload-duration", "3",
-             "--mean-size-kb", "25"]
-        )
-        assert args.workload and args.topology == "parking_lot"
-        assert args.arrival_rate == 150.0
-        assert args.workload_duration == 3.0 and args.mean_size_kb == 25.0
 
     def test_describe_runs(self, capsys):
         assert main(["topo", "describe", "incast", "--senders", "4"]) == 0

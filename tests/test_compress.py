@@ -1,12 +1,10 @@
-"""Tests for pruning, quantization, and distillation (Section 8)."""
+"""Tests for pruning and quantization (Section 8)."""
 
 import numpy as np
 import pytest
 
 from repro.collector.gr_unit import STATE_DIM
-from repro.collector.pool import PolicyPool, Trajectory
 from repro.core.compress import (
-    DistillationTrainer,
     nonzero_count,
     param_count,
     prune_magnitude,
@@ -15,24 +13,10 @@ from repro.core.compress import (
 from repro.core.networks import FastPolicy, NetworkConfig, SagePolicy
 
 TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=2, n_atoms=7)
-SMALLER = NetworkConfig(enc_dim=8, gru_dim=8, n_components=2, n_atoms=7)
 
 
 def make_policy(seed=0):
     return SagePolicy(TINY, np.random.default_rng(seed))
-
-
-def make_pool(seed=0, n=4, length=20):
-    rng = np.random.default_rng(seed)
-    return PolicyPool([
-        Trajectory(
-            scheme=f"s{i}", env_id=f"e{i}", multi_flow=False,
-            states=rng.standard_normal((length, STATE_DIM)) * 0.1,
-            actions=rng.uniform(0.8, 1.2, size=length),
-            rewards=rng.uniform(0, 1, size=length),
-        )
-        for i in range(n)
-    ])
 
 
 class TestPruning:
@@ -41,7 +25,7 @@ class TestPruning:
         before = nonzero_count(pol)
         report = prune_magnitude(pol, 0.5)
         after = nonzero_count(pol)
-        assert after < before
+        assert after < before <= param_count(pol)
         matrix_sparsities = [v for v in report.values()]
         assert np.mean(matrix_sparsities) == pytest.approx(0.5, abs=0.05)
 
@@ -106,50 +90,3 @@ class TestQuantization:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             quantize_per_tensor(make_policy(), 1)
-
-
-class TestDistillation:
-    def test_student_smaller_than_teacher(self):
-        teacher = make_policy()
-        trainer = DistillationTrainer(teacher, SMALLER, make_pool())
-        assert param_count(trainer.student) < param_count(teacher)
-
-    def test_loss_decreases(self):
-        trainer = DistillationTrainer(
-            make_policy(7), SMALLER, make_pool(7), batch_size=8, seq_len=4,
-        )
-        first = np.mean([trainer.train_step() for _ in range(3)])
-        trainer.train(40)
-        last = np.mean([trainer.train_step() for _ in range(3)])
-        assert last < first
-
-    def test_student_closer_to_teacher_than_untrained(self):
-        from repro.core.agent import SageAgent
-
-        teacher = make_policy(9)
-        trainer = DistillationTrainer(
-            teacher, SMALLER, make_pool(9), batch_size=8, seq_len=4, seed=9,
-        )
-        untrained = SagePolicy(SMALLER, np.random.default_rng(99))
-        trainer.train(120)
-
-        rng = np.random.default_rng(3)
-        states = rng.standard_normal((10, STATE_DIM)) * 0.1
-
-        def gap(policy):
-            a_agent = SageAgent(policy, deterministic=True)
-            t_agent = SageAgent(teacher, deterministic=True)
-            a_agent.reset()
-            t_agent.reset()
-            diffs = []
-            for s in states:
-                diffs.append(
-                    abs(np.log(a_agent.act(s)) - np.log(t_agent.act(s)))
-                )
-            return float(np.mean(diffs))
-
-        assert gap(trainer.student) < gap(untrained)
-
-    def test_agent_name(self):
-        trainer = DistillationTrainer(make_policy(), SMALLER, make_pool())
-        assert trainer.agent().name == "sage-distilled"

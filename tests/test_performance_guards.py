@@ -5,11 +5,7 @@ the quadratic-hole-scan and retransmission-storm bugs each produced orders
 of magnitude more events/sends than the fixed code does.
 """
 
-import os
-import time
-
 import numpy as np
-import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
@@ -85,14 +81,12 @@ class TestWorkBounds:
         assert worst > 20  # the flow did fill its pipe
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="parallel speedup guard needs at least 2 CPU cores",
-)
 class TestParallelCollection:
     def test_two_workers_not_slower_than_serial(self):
-        # on a multi-core machine, fanning a 4-env batch over 2 workers must
-        # not lose to the serial loop (some tolerance for process startup)
+        # structural half of the guard: a 4-env batch fanned over 2 workers
+        # completes first try and yields the serial pool bit for bit. Whether
+        # it is also faster is a ladder question (benchmarks/e2e), not a
+        # wall-clock assert here.
         from repro.collector.environments import EnvConfig
         from repro.collector.parallel import collect_pool_parallel
 
@@ -104,18 +98,20 @@ class TestParallelCollection:
             for i in range(4)
         ]
         schemes = ["cubic"]
+        reports = []
 
-        t0 = time.perf_counter()
         serial = collect_pool_parallel(envs, schemes, workers=1)
-        serial_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        parallel = collect_pool_parallel(envs, schemes, workers=2, chunksize=1)
-        parallel_s = time.perf_counter() - t0
-
-        assert len(serial) == len(parallel) == 4
-        # "not slower": allow 25% headroom for executor spin-up on small work
-        assert parallel_s <= serial_s * 1.25, (
-            f"2-worker collection took {parallel_s:.2f}s vs "
-            f"{serial_s:.2f}s serial"
+        parallel = collect_pool_parallel(
+            envs, schemes, workers=2, chunksize=1, report_sink=reports.append
         )
+
+        (report,) = reports
+        assert report.workers == 2 and report.total == 4
+        assert report.n_crashes == report.n_timeouts == report.n_retried == 0
+        assert not report.failures
+        assert len(serial) == len(parallel) == 4
+        for ts, tp in zip(serial.trajectories, parallel.trajectories):
+            assert (ts.scheme, ts.env_id) == (tp.scheme, tp.env_id)
+            np.testing.assert_array_equal(ts.states, tp.states)
+            np.testing.assert_array_equal(ts.actions, tp.actions)
+            np.testing.assert_array_equal(ts.rewards, tp.rewards)

@@ -295,11 +295,6 @@ class TestValidation:
 
     def test_train_sage_on_pool_guards(self):
         pool = synthetic_pool()
-        with pytest.raises(ValueError, match="fast engine"):
-            train_sage_on_pool(
-                pool, n_steps=2, n_checkpoints=1, engine="legacy",
-                grad_workers=2,
-            )
         with pytest.raises(ValueError, match="mutually exclusive"):
             train_sage_on_pool(
                 pool, n_steps=2, n_checkpoints=1, prefetch=2, grad_workers=2,
@@ -337,17 +332,6 @@ class TestCLI:
             ["pipeline", "run", "--workdir", "r/", "--grad-workers", "2"]
         )
         assert args.grad_workers == 2
-
-    def test_train_bench_scaling_flags(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["train-bench"])
-        assert args.scaling_workers == "1,2,4"
-        assert args.scaling_steps == 12
-        args = build_parser().parse_args(
-            ["train-bench", "--scaling-workers", ""]
-        )
-        assert args.scaling_workers == ""
 
 
 # ---------------------------------------------------------------------------
