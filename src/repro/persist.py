@@ -37,15 +37,24 @@ def write_json_atomic(path, obj) -> None:
 
 
 def write_npz_atomic(path, payload) -> None:
-    """Write a compressed ``.npz``, then ``<name>.crc32`` with its CRC and size."""
+    """Write a stored (not deflated) ``.npz``, then ``<name>.crc32`` (CRC + size).
+
+    Artifacts here are many small float arrays: deflating them costs more
+    than the training step a checkpoint protects and saves ~5 % of the file.
+    The stale sidecar goes before the archive is renamed in, so a kill
+    between the two renames leaves a whole archive with no sidecar (which
+    loads), never a new archive beside the previous one's checksum.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:  # a handle: np.savez appends ".npz" to a path
-        np.savez_compressed(fh, **payload)
+        np.savez(fh, **payload)
+    stamp = {"crc32": file_crc32(tmp), "bytes": tmp.stat().st_size}
+    sidecar = Path(f"{path}.crc32")
+    sidecar.unlink(missing_ok=True)
     os.replace(tmp, path)
-    stamp = {"crc32": file_crc32(path), "bytes": path.stat().st_size}
-    _replace_text(Path(f"{path}.crc32"), json.dumps(stamp) + "\n")
+    _replace_text(sidecar, json.dumps(stamp) + "\n")
 
 
 def verify_sidecar(path, what: str) -> None:

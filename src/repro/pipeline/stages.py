@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.persist import write_json_atomic
+from repro.persist import verify_sidecar, write_json_atomic
 from repro.pipeline.supervisor import StageSpec, Supervisor
 
 __all__ = ["PipelineConfig", "build_pipeline", "build_supervisor"]
@@ -374,13 +374,14 @@ def _stage_train(ctx: Dict) -> Dict:
         )
         remaining = cfg.n_steps - trainer.steps_done
         if remaining > 0:
+            # train() writes every checkpoint_every-th step and the last
+            # one, each once; 0 means the final state only
             trainer.train(
                 remaining,
-                checkpoint_every=cfg.checkpoint_every,
+                checkpoint_every=cfg.checkpoint_every or remaining,
                 checkpoint_path=str(cfg.checkpoint_path),
                 guard=guard,
             )
-        trainer.save_checkpoint(str(cfg.checkpoint_path))
         for ev in guard.events:
             events.append(
                 {
@@ -422,6 +423,7 @@ def _check_train(ctx: Dict) -> bool:
     if not cfg.checkpoint_path.exists():
         return False
     try:
+        verify_sidecar(cfg.checkpoint_path, "checkpoint")
         with np.load(cfg.checkpoint_path, allow_pickle=False) as data:
             return int(data["meta/steps_done"][0]) >= cfg.n_steps
     except Exception:  # noqa: BLE001 - any unreadable checkpoint fails check
@@ -447,6 +449,7 @@ def _stage_eval(ctx: Dict) -> Dict:
 
     cfg: PipelineConfig = ctx["config"]
     policy = SagePolicy(_net_config(cfg), np.random.default_rng(0))
+    verify_sidecar(cfg.checkpoint_path, "checkpoint")
     with np.load(cfg.checkpoint_path, allow_pickle=False) as data:
         policy.load_state_dict(
             {

@@ -353,8 +353,9 @@ class FastCRRTrainer(CRRTrainer):
         guard=None,
     ) -> Dict[str, float]:
         """Like :meth:`CRRTrainer.train`, plus periodic checkpointing:
-        every ``checkpoint_every`` steps the full training state is saved
-        to ``checkpoint_path`` (overwritten in place).
+        every ``checkpoint_every`` steps, and after the last one, the full
+        training state is saved to ``checkpoint_path`` (overwritten in
+        place) — each checkpointed step once, the final state always.
 
         ``guard`` arms a :class:`~repro.train.guard.DivergenceGuard`: each
         step's metrics are checked, and on divergence (non-finite values,
@@ -409,7 +410,9 @@ class FastCRRTrainer(CRRTrainer):
                     f"policy={metrics['policy_loss']:.4f} "
                     f"f={metrics['mean_f']:.3f}"
                 )
-            if checkpoint_every and i % checkpoint_every == 0:
+            if checkpoint_every and (
+                i % checkpoint_every == 0 or self.steps_done == end
+            ):
                 self.save_checkpoint(checkpoint_path)
             if guard is not None and i % guard.config.snapshot_every == 0:
                 snapshot = self.capture_state()
@@ -418,7 +421,7 @@ class FastCRRTrainer(CRRTrainer):
     # ------------------------------------------------------------------
     # Checkpointing: everything needed to resume a run mid-stream —
     # all four networks, both Adam states, the RNG stream, the sampler
-    # position, and the metric history — in one compressed .npz. The same
+    # position, and the metric history — in one stored .npz. The same
     # payload doubles as the in-memory snapshot the DivergenceGuard
     # rollback restores.
     def _state_payload(self) -> Dict[str, np.ndarray]:
@@ -524,15 +527,20 @@ class FastCRRTrainer(CRRTrainer):
         """Restore a :meth:`save_checkpoint` file, verifying integrity.
 
         When the ``.crc32`` sidecar exists the file's checksum and size
-        must match it; a corrupt or truncated archive raises ``ValueError``
-        rather than half-loading state.
+        must match it; a corrupt or truncated archive, or a valid one that
+        is not this trainer's checkpoint (missing keys, other shapes),
+        raises ``ValueError`` and leaves the trainer exactly as it was.
         """
         path = Path(path)
         verify_sidecar(path, "checkpoint")
+        before = self.capture_state()
         try:
             with np.load(path, allow_pickle=False) as data:
                 self._apply_payload(data, list(data.files))
-        except (zipfile.BadZipFile, EOFError) as exc:
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            self.restore_state(before)  # a member can fail after others applied
+            if isinstance(exc, ValueError):
+                raise
             raise ValueError(
                 f"checkpoint {path} is not a valid .npz archive: {exc}"
             ) from exc

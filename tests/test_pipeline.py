@@ -16,6 +16,7 @@ The contract under test:
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from repro.pipeline import (
     PipelineState,
     StageSpec,
     Supervisor,
+    build_pipeline,
     build_supervisor,
 )
 from repro.pipeline.state import StageState
@@ -349,6 +351,83 @@ sup.run(config=cfg.to_json())
         b = _checkpoint_arrays(cfg.checkpoint_path)
         for key in a:
             assert a[key] == b[key], key
+
+
+    def test_corrupt_final_checkpoint_fails_validation_and_is_rebuilt(
+        self, tmp_path, clean_run
+    ):
+        # A finished run whose checkpoint rots on disk: resume must not call
+        # it complete. The CRC sidecar fails train's validation, the stage
+        # re-runs, discards the file and retrains to the same bytes.
+        clean_cfg, _ = clean_run
+        cfg = _config(tmp_path / "run")
+        shutil.copytree(clean_cfg.root, cfg.root)
+        raw = bytearray(cfg.checkpoint_path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        cfg.checkpoint_path.write_bytes(bytes(raw))
+
+        state = build_supervisor(cfg).run(resume=True, config=cfg.to_json())
+        assert state.complete
+        kinds = [e["kind"] for e in state.stage("train").info["events"]]
+        assert kinds == ["corrupt-checkpoint"]
+        assert _checkpoint_arrays(cfg.checkpoint_path) == _checkpoint_arrays(
+            clean_cfg.checkpoint_path
+        )
+
+
+class TestCheckpointWrites:
+    """The train stage writes each checkpointed step once, the last always."""
+
+    def _train_stage(self, clean_run, tmp_path, monkeypatch, **overrides):
+        # the train stage alone, over the fault-free run's store; returns
+        # (cfg, run-the-stage, steps_done of every checkpoint written)
+        import repro.train.engine as engine
+
+        clean_cfg, _ = clean_run
+        cfg = _config(tmp_path / "run", **overrides)
+        shutil.copytree(clean_cfg.store_dir, cfg.store_dir)
+        written = []
+        real_write = engine.write_npz_atomic
+
+        def spy(path, payload):
+            assert Path(path) == cfg.checkpoint_path
+            written.append(int(payload["meta/steps_done"][0]))
+            real_write(path, payload)
+
+        monkeypatch.setattr(engine, "write_npz_atomic", spy)
+        (train,) = (s for s in build_pipeline(cfg) if s.name == "train")
+        return cfg, lambda: train.run({"config": cfg}), written
+
+    def test_every_step_written_exactly_once(
+        self, clean_run, tmp_path, monkeypatch
+    ):
+        cfg, run, written = self._train_stage(
+            clean_run, tmp_path, monkeypatch, n_steps=20
+        )
+        assert cfg.checkpoint_every == 1
+        run()
+        assert written == list(range(1, 21))
+
+    def test_coarser_cadence_still_leaves_the_final_state_on_disk(
+        self, clean_run, tmp_path, monkeypatch
+    ):
+        cfg, run, written = self._train_stage(
+            clean_run, tmp_path, monkeypatch, n_steps=8, checkpoint_every=3
+        )
+        run()
+        assert written == [3, 6, 8]
+        with np.load(cfg.checkpoint_path, allow_pickle=False) as data:
+            assert int(data["meta/steps_done"][0]) == 8
+
+    def test_finished_checkpoint_is_not_rewritten(
+        self, clean_run, tmp_path, monkeypatch
+    ):
+        _, run, written = self._train_stage(clean_run, tmp_path, monkeypatch)
+        run()
+        del written[:]
+        info = run()
+        assert written == []
+        assert info["steps_done"] == PIPE_KW["n_steps"]
 
 
 class TestShardWriterKill:
