@@ -1,28 +1,45 @@
 """Golden digests of the simulator's output, recorded before the hot-path rework.
 
-Every value below was computed at commit d1aa4c5 (closure-per-event
-``EventLoop``, cancel + ``call_later`` RTO) and must never change: a faster
-simulator has to emit the same packets in the same order, so the trajectory
-arrays, link counters and FCT summaries are compared bit for bit. To
-re-record after an *intended* behaviour change, run this file as a script
+``GOLDEN_ROLLOUTS``, ``GOLDEN_DELAYED_ACK`` and ``GOLDEN_CHURN`` were
+computed at commit d1aa4c5 (closure-per-event ``EventLoop``, cancel +
+``call_later`` RTO); ``GOLDEN_DUMBBELL``, ``GOLDEN_JITTER``,
+``GOLDEN_CHURN_FAULTS`` and ``GOLDEN_TELEMETRY`` at commit 74e0d6f, where
+the dumbbell still ran through the ``Network`` facade and a separate
+``Link`` and was checked against a verbatim copy of the pre-graph dumbbell.
+None of them may change: a faster or smaller simulator has to emit the
+same packets in the same order, so the trajectory arrays, link counters,
+FCT summaries and telemetry rows are compared bit for bit. The dumbbell
+and jitter goldens are asserted by ``tests/test_topo.py``. To re-record
+after an *intended* behaviour change, run this file as a script
 (``PYTHONPATH=src python tests/test_sim_golden.py``) and paste its output.
 """
 
 import dataclasses
 import hashlib
 import json
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro.aqm_learn import TraceSpec, collect_queue_traces
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.collector.environments import training_environments
 from repro.collector.rollout import collect_trajectory
-from repro.netsim import incast_topology, parking_lot_topology
+from repro.netsim import (
+    PathConfig,
+    dumbbell_topology,
+    incast_topology,
+    parking_lot_topology,
+)
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network, PathConfig
-from repro.netsim.traces import FlatRate
+from repro.netsim.network import Network
+from repro.netsim.packet import Packet
+from repro.netsim.telemetry import load_traces
+from repro.netsim.traces import FlatRate, StepRate
 from repro.tcp.cc_base import make_scheme
+from repro.tcp.flow import Flow
 from repro.tcp.socket import TcpReceiver, TcpSender
 from repro.workload import WorkloadConfig, run_workload
 
@@ -76,15 +93,126 @@ def delayed_ack_digest() -> str:
     return _sha(np.array(trace, dtype=np.float64))
 
 
+CHURN_CONFIG = WorkloadConfig(
+    arrival_rate=400.0, duration=2.5, mean_size_bytes=15000, seed=0
+)
+
+
 def churn_digests(cell: str) -> dict:
-    config = WorkloadConfig(
-        arrival_rate=400.0, duration=2.5, mean_size_bytes=15000, seed=0
-    )
-    result = run_workload(CHURN_CELLS[cell](), config, scheme="cubic", drain=10.0)
+    result = run_workload(CHURN_CELLS[cell](), CHURN_CONFIG, scheme="cubic", drain=10.0)
     return {
         "schedule": result.digest,
         "links": _json_sha(result.link_stats),
         "fct": _json_sha(result.summary.to_json()),
+    }
+
+
+#: the parking-lot churn cell with both topology fault sites armed: the
+#: first segment flaps, the second stalls its dequeue side
+CHURN_FAULTS = (
+    FaultSpec("netsim.linkflap", target=0, param=0.2),
+    FaultSpec("netsim.aqmstall", target=1, param=0.3),
+)
+
+
+def churn_fault_digests() -> dict:
+    chaos = FaultInjector(FaultPlan(seed=0, faults=list(CHURN_FAULTS)))
+    result = run_workload(
+        CHURN_CELLS["pl_taildrop"](), CHURN_CONFIG, scheme="cubic", drain=10.0,
+        chaos=chaos,
+    )
+    return {
+        "flapped": result.flapped_links,
+        "stalled": result.stalled_links,
+        "stalls": [s["stalls"] for s in result.link_stats],
+        "links": _json_sha(result.link_stats),
+        "fct": _json_sha(result.summary.to_json()),
+    }
+
+
+#: the two capacity processes of the 3-flow dumbbell scenario
+DUMBBELL_RATES = {
+    "flat": lambda: FlatRate(24e6),
+    "step": lambda: StepRate(12e6, 2.0, t_switch=2.5),
+}
+
+
+def dumbbell_view(rate, buffer_bytes: int, seed: int = 0):
+    """The single-bottleneck path ``snd -> rcv`` on a tail-drop dumbbell."""
+    return dumbbell_topology(rate, TailDrop(buffer_bytes), seed=seed).view(("snd", "rcv"))
+
+
+def run_dumbbell(net, duration=6.0):
+    """Three flows (cubic, vegas, late newreno) on one dumbbell network."""
+    flows = [
+        Flow(net, flow_id=0, scheme="cubic", min_rtt=0.04),
+        Flow(net, flow_id=1, scheme="vegas", min_rtt=0.03),
+        Flow(net, flow_id=2, scheme="newreno", min_rtt=0.08, start_at=1.0),
+    ]
+    trace = []
+    for flow in flows:
+        flow.start()
+    t = 0.0
+    while t < duration:
+        t += 0.1
+        net.loop.run_until(t)
+        for flow in flows:
+            flow.sample()
+            trace.append(
+                (flow.flow_id, flow.sender.cwnd, flow.sender.snd_una,
+                 flow.sender.retransmits)
+            )
+    counters = (
+        tuple(sorted(net.delivered_by_flow.items())),
+        tuple(sorted(net.dropped_by_flow.items())),
+    )
+    return trace, counters, [f.stats() for f in flows]
+
+
+def dumbbell_digests(run) -> dict:
+    """Digest one :func:`run_dumbbell` result: trace, counters, per-flow stats."""
+    trace, counters, stats = run
+    return {
+        "trace": _json_sha(trace),
+        "counters": _json_sha(counters),
+        "flows": _json_sha(
+            [(s.avg_throughput_bps, s.loss_rate) for s in stats]
+        ),
+    }
+
+
+def drive_jitter(net):
+    """Raw API: seeded per-flow jitter on data, ACKs on the reverse path."""
+    events = []
+    net.attach_flow(
+        7, PathConfig(min_rtt=0.05, jitter=0.01),
+        lambda p: events.append(("data", net.loop.now, p.seq)),
+        lambda p: events.append(("ack", net.loop.now, p.seq)),
+    )
+    for i in range(32):
+        net.loop.call_at(
+            i * 0.003,
+            lambda i=i: net.send_data(Packet(flow_id=7, seq=i)),
+        )
+        net.loop.call_at(
+            i * 0.004 + 0.001,
+            lambda i=i: net.send_ack(
+                Packet(flow_id=7, seq=i, size=40, is_ack=True)
+            ),
+        )
+    net.loop.run_until(2.0)
+    return events
+
+
+def telemetry_digest() -> dict:
+    """Features and sojourns a queue recorder logs on a CoDel dumbbell."""
+    spec = TraceSpec(duration=2.0, arrival_rate=40.0, max_rows=5000)
+    with tempfile.TemporaryDirectory() as tmp:
+        arrays = load_traces(collect_queue_traces(spec, shards=1, seed=1, out_dir=tmp))
+    return {
+        "rows": int(len(arrays["sojourns"])),
+        "features": _sha(arrays["features"]),
+        "sojourns": _sha(arrays["sojourns"]),
     }
 
 
@@ -127,6 +255,35 @@ GOLDEN_CHURN = {
     },
 }
 
+GOLDEN_DUMBBELL = {
+    'flat': {
+        "trace": "1b03119c838af593a0857309bf8135b4975f0cac2d433a572a0f2a97614b3a25",
+        "counters": "10c70a4c971b81650daedea4fbcf6f919b11f2c8d1aaf5d1a0c8c522308fa986",
+        "flows": "a9e7e0d08350fbcae1f3570ac5817ecc8f2a4e8b5f5a49da6cc6c263eb8f17b2"
+    },
+    'step': {
+        "trace": "1c24fc0646a88dcf1b00d227533258aafa1346a004e5fefb856f3ace27d52139",
+        "counters": "45aa970f2fb7af8951a51539836751f1356958648667791b66f84c885df33c1c",
+        "flows": "2355f683f76c97faa38783296ffbe941e5b5e9096eeb13b5aa63e3550fbd1d85"
+    },
+}
+
+GOLDEN_JITTER = '0c88b296f48faa5104fd734e58d907b135fa7dd17c209c50880b67f55a506aaf'
+
+GOLDEN_CHURN_FAULTS = {
+    "flapped": [0],
+    "stalled": [1],
+    "stalls": [0, 1, 0],
+    "links": "c0cc2170d0190d4ca86d0cee2a616f7c16c07afa984560ee8cc310d233a6f804",
+    "fct": "7eacab82128f37eb2f1cf75e05e16701d8f892d495572a1c1f90be0994ca502e"
+}
+
+GOLDEN_TELEMETRY = {
+    "rows": 4925,
+    "features": "511fc3002c2d5139ea3bdd2c7164e220e56d258a6e55756d0c89e0ce4c78db8a",
+    "sojourns": "8bdbfa5d663ba4af6c46b9162ed8f8dd98c65ec873e74af8e64b0ed51f54b2d4"
+}
+
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("env_index", range(4))
@@ -143,6 +300,14 @@ def test_sim_churn_cell_matches_golden(cell):
     assert churn_digests(cell) == GOLDEN_CHURN[cell]
 
 
+def test_sim_churn_cell_with_faults_matches_golden():
+    assert churn_fault_digests() == GOLDEN_CHURN_FAULTS
+
+
+def test_queue_telemetry_matches_golden():
+    assert telemetry_digest() == GOLDEN_TELEMETRY
+
+
 if __name__ == "__main__":  # re-record
     print("GOLDEN_ROLLOUTS = {")
     for i in range(4):
@@ -153,4 +318,13 @@ if __name__ == "__main__":  # re-record
     print("GOLDEN_CHURN = {")
     for c in sorted(CHURN_CELLS):
         print(f"    {c!r}: {json.dumps(churn_digests(c), indent=8)[:-1]}    }},")
-    print("}")
+    print("}\n")
+    print("GOLDEN_DUMBBELL = {")
+    for kind, rate in DUMBBELL_RATES.items():
+        d = dumbbell_digests(run_dumbbell(dumbbell_view(rate(), 60_000)))
+        print(f"    {kind!r}: {json.dumps(d, indent=8)[:-1]}    }},")
+    print("}\n")
+    jitter = drive_jitter(dumbbell_view(FlatRate(10e6), 30_000, seed=3))
+    print(f"GOLDEN_JITTER = {_json_sha(jitter)!r}\n")
+    print(f"GOLDEN_CHURN_FAULTS = {json.dumps(churn_fault_digests(), indent=4)}\n")
+    print(f"GOLDEN_TELEMETRY = {json.dumps(telemetry_digest(), indent=4)}")

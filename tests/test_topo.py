@@ -31,9 +31,19 @@ from repro.netsim.topo import (
     parking_lot_topology,
     proxy_split_topology,
 )
-from repro.netsim.traces import FlatRate, StepRate
+from repro.netsim.traces import FlatRate
 from repro.serve.harness import jain_index
 from repro.tcp.flow import Flow
+from tests.test_sim_golden import (
+    DUMBBELL_RATES,
+    GOLDEN_DUMBBELL,
+    GOLDEN_JITTER,
+    _json_sha,
+    drive_jitter,
+    dumbbell_digests,
+    dumbbell_view,
+    run_dumbbell,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,82 +100,31 @@ class _LegacyNetwork:
         return self.link.queue_delay()
 
 
-def _run_dumbbell(net_factory, rate_factory, duration=6.0):
-    """Drive the same 3-flow scenario on any dumbbell-compatible network."""
-    loop = EventLoop()
-    net = net_factory(loop, rate_factory(), TailDrop(60_000))
-    flows = [
-        Flow(net, flow_id=0, scheme="cubic", min_rtt=0.04),
-        Flow(net, flow_id=1, scheme="vegas", min_rtt=0.03),
-        Flow(net, flow_id=2, scheme="newreno", min_rtt=0.08, start_at=1.0),
-    ]
-    trace = []
-    for flow in flows:
-        flow.start()
-    t = 0.0
-    while t < duration:
-        t += 0.1
-        loop.run_until(t)
-        for flow in flows:
-            flow.sample()
-            trace.append(
-                (flow.flow_id, flow.sender.cwnd, flow.sender.snd_una,
-                 flow.sender.retransmits)
-            )
-    counters = (
-        tuple(sorted(net.delivered_by_flow.items())),
-        tuple(sorted(net.dropped_by_flow.items())),
-    )
-    return trace, counters, [f.stats() for f in flows]
-
-
 class TestDumbbellBitIdentity:
     """The graph-backed facade must equal the legacy dumbbell bitwise."""
 
-    @pytest.mark.parametrize("rate_factory", [
-        lambda: FlatRate(24e6),
-        lambda: StepRate(12e6, 2.0, t_switch=2.5),
-    ], ids=["flat", "step"])
-    def test_flows_evolve_identically(self, rate_factory):
-        legacy = _run_dumbbell(_LegacyNetwork, rate_factory)
-        graph = _run_dumbbell(Network, rate_factory)
+    @pytest.mark.parametrize("kind", sorted(DUMBBELL_RATES))
+    def test_flows_evolve_identically(self, kind):
+        rate_factory = DUMBBELL_RATES[kind]
+        legacy = run_dumbbell(
+            _LegacyNetwork(EventLoop(), rate_factory(), TailDrop(60_000))
+        )
+        graph = run_dumbbell(dumbbell_view(rate_factory(), 60_000))
         assert legacy[0] == graph[0]  # full cwnd/una/retx trace, exact
         assert legacy[1] == graph[1]  # delivered/dropped counters, exact
         for ls, gs in zip(legacy[2], graph[2]):
             assert ls.avg_throughput_bps == gs.avg_throughput_bps
             assert ls.loss_rate == gs.loss_rate
+        assert dumbbell_digests(graph) == GOLDEN_DUMBBELL[kind]
 
     def test_jitter_stream_identical(self):
         """Raw-API check: seeded jitter draws land at identical times."""
-
-        def drive(net):
-            events = []
-            net.attach_flow(
-                7, PathConfig(min_rtt=0.05, jitter=0.01),
-                lambda p: events.append(("data", net.loop.now, p.seq)),
-                lambda p: events.append(("ack", net.loop.now, p.seq)),
-            )
-            for i in range(32):
-                net.loop.call_at(
-                    i * 0.003,
-                    lambda i=i: net.send_data(Packet(flow_id=7, seq=i)),
-                )
-                net.loop.call_at(
-                    i * 0.004 + 0.001,
-                    lambda i=i: net.send_ack(
-                        Packet(flow_id=7, seq=i, size=40, is_ack=True)
-                    ),
-                )
-            net.loop.run_until(2.0)
-            return events
-
-        legacy = drive(
+        legacy = drive_jitter(
             _LegacyNetwork(EventLoop(), FlatRate(10e6), TailDrop(30_000), seed=3)
         )
-        graph = drive(
-            Network(EventLoop(), FlatRate(10e6), TailDrop(30_000), seed=3)
-        )
+        graph = drive_jitter(dumbbell_view(FlatRate(10e6), 30_000, seed=3))
         assert legacy == graph
+        assert _json_sha(graph) == GOLDEN_JITTER
 
     def test_facade_exposes_graph(self):
         net = Network(EventLoop(), FlatRate(24e6), TailDrop(60_000))
