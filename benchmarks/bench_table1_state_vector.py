@@ -9,14 +9,14 @@ import numpy as np
 from repro.collector.gr_unit import GRUnit, STATE_DIM, STATE_FIELDS
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.flow import Flow
 
 
 def test_table1_state_vector(benchmark):
     loop = EventLoop()
-    net = Network(loop, FlatRate(24e6), TailDrop(240_000))
+    net = dumbbell_topology(FlatRate(24e6), TailDrop(240_000), loop=loop).view(("snd", "rcv"))
     flow = Flow(net, 0, "cubic", min_rtt=0.04)
     flow.start()
     loop.run_until(2.0)

@@ -67,7 +67,7 @@ def collect_queue_traces(
             seed=seed + k,
         )
         recorder = QueueTelemetryRecorder(max_rows=spec.max_rows)
-        topo.links[0].inner.telemetry = recorder
+        topo.links[0].telemetry = recorder
         result = run_workload(
             topo,
             WorkloadConfig(

@@ -22,10 +22,10 @@ from typing import List, Optional, Tuple
 
 from repro.netsim.aqm import ECN_CAPABLE_AQMS, make_aqm
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
 from repro.netsim.topo import (
     TOPOLOGY_CLASSES,
     PathView,
+    dumbbell_topology,
     incast_topology,
     parking_lot_topology,
     proxy_split_topology,
@@ -146,9 +146,8 @@ class EnvConfig:
         return self.mean_capacity_bps() / n_flows
 
 
-def build_network(env: EnvConfig) -> Tuple[EventLoop, Network]:
+def build_network(env: EnvConfig) -> Tuple[EventLoop, PathView]:
     """Instantiate the simulator for one (dumbbell) environment."""
-    loop = EventLoop()
     aqm_key = env.aqm.partition("@")[0].lower()
     if env.ecn_threshold_bdp > 0 and aqm_key in ("taildrop", "tdrop"):
         # DCTCP-style step marking is a taildrop knob; natively marking
@@ -163,19 +162,17 @@ def build_network(env: EnvConfig) -> Tuple[EventLoop, Network]:
         )
     else:
         aqm = make_aqm(env.aqm, env.buffer_bytes)
-    network = Network(loop, env.rate_process(), aqm)
-    return loop, network
+    topo = dumbbell_topology(env.rate_process(), aqm)
+    return topo.loop, topo.view(("snd", "rcv"))
 
 
 def build_scenario(env: EnvConfig):
     """Instantiate any environment: ``(loop, main, competitor_views)``.
 
     ``main`` is what the scheme under test attaches to; the list holds one
-    network-duck-typed view per competing flow, in spawn order. For
-    ``topology="dumbbell"`` this delegates to :func:`build_network` and
-    returns the very same :class:`Network` object for every slot, so the
-    constructed world — and every collected pool — is bit-identical to the
-    historical single-bottleneck code path.
+    :class:`~repro.netsim.topo.PathView` per competing flow, in spawn order.
+    For ``topology="dumbbell"`` this delegates to :func:`build_network` and
+    returns the very same view for every slot.
     """
     if env.topology == "dumbbell":
         loop, network = build_network(env)

@@ -280,10 +280,16 @@ class FastPolicy:
             return None
         return np.zeros(self._p["trunk.gru.wz.W"].shape[1])
 
-    def step(
+    # The 1-D path below uses BLAS gemv. It stays beside the batched einsum
+    # path because the two round differently: the batched kernel at N=1
+    # picks a different ratio on more than half of all steps and is no faster,
+    # while SageAgent, single-flow serving and the pretrained-checkpoint
+    # gates are pinned to the gemv floats.
+
+    def _forward_1d(
         self, state: np.ndarray, h: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One inference step: normalized state (D,) -> (mode ratio, h')."""
+        """Trunk + head projection for one normalized state ``(D,)``."""
         x = self._lin("trunk.enc1b", self._lrelu(self._lin("trunk.enc1a", state)))
         if self._use_gru:
             xh = np.concatenate([x, h])
@@ -302,7 +308,13 @@ class FastPolicy:
             t = self._ln(f"{res}.norm", y)
             t = self._lrelu(self._lin(f"{res}.fc1", t))
             y = y + self._lin(f"{res}.fc2", t)
-        out = self._lin("head.proj", y)
+        return self._lin("head.proj", y), h
+
+    def step(
+        self, state: np.ndarray, h: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One inference step: normalized state (D,) -> (mode ratio, h')."""
+        out, h = self._forward_1d(state, h)
         k = self._n_comp
         logits = out[0:k]
         means = np.tanh(out[k : 2 * k]) * ((LOG_ACTION_HI - LOG_ACTION_LO) / 2.0)
@@ -322,26 +334,7 @@ class FastPolicy:
         a_t by sampling from pi(a|s)"); the stochasticity doubles as
         bandwidth probing.
         """
-        # mirror step() up to the head, then sample instead of argmax-mode
-        x = self._lin("trunk.enc1b", self._lrelu(self._lin("trunk.enc1a", state)))
-        if self._use_gru:
-            xh = np.concatenate([x, h])
-            z = _sigmoid(self._lin("trunk.gru.wz", xh))
-            r = _sigmoid(self._lin("trunk.gru.wr", xh))
-            n = np.tanh(self._lin("trunk.gru.wn", np.concatenate([x, r * h])))
-            h = (1.0 - z) * n + z * h
-            g = h
-        else:
-            g = x
-        y = self._lrelu(self._ln("trunk.post_norm", g))
-        if self._use_enc2:
-            y = np.tanh(self._lin("trunk.enc2", y))
-        y = self._lrelu(self._lin("trunk.fc", y))
-        for res in ("trunk.res1", "trunk.res2"):
-            t = self._ln(f"{res}.norm", y)
-            t = self._lrelu(self._lin(f"{res}.fc1", t))
-            y = y + self._lin(f"{res}.fc2", t)
-        out = self._lin("head.proj", y)
+        out, h = self._forward_1d(state, h)
         k = self._n_comp
         logits = out[0:k]
         means = np.tanh(out[k : 2 * k]) * ((LOG_ACTION_HI - LOG_ACTION_LO) / 2.0)
@@ -356,10 +349,10 @@ class FastPolicy:
     # -- batched serving path ------------------------------------------
     # One (N, 69) forward for N concurrent flows. Built on the einsum
     # kernels in repro.nn.batched, so each row's result is bitwise
-    # identical for any batch size — the serving engine may merge and
-    # split batches freely without changing any flow's decision stream.
-    # (The 1-D step()/sample_step() above use BLAS gemv and differ from
-    # this path by float rounding only.)
+    # identical for any batch size N >= 2 — the serving engine may merge
+    # and split NN-tier batches of two or more freely without changing any
+    # flow's decision stream. A flow alone in its tick's NN batch takes the
+    # 1-D gemv path above instead, which differs by float rounding.
 
     def _blin(self, name: str, x: np.ndarray) -> np.ndarray:
         return batched_linear(x, self._p[f"{name}.W"], self._p[f"{name}.b"])

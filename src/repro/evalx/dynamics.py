@@ -23,10 +23,7 @@ import numpy as np
 
 from repro.collector.environments import EnvConfig, build_network
 from repro.evalx.leagues import Participant, run_participant
-from repro.netsim.aqm import make_aqm
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
-from repro.netsim.traces import FlatRate, StepRate
 from repro.tcp.cc_base import CongestionControl
 from repro.tcp.flow import Flow, FlowStats
 

@@ -1,33 +1,33 @@
-"""Discrete-event single-bottleneck network emulator.
+"""Discrete-event network emulator over graph topologies.
 
 This package is the repo's substitute for the (improved) Mahimahi emulator
-used by the paper: a dumbbell network with one bottleneck link whose capacity
-may be constant (*flat* scenarios), change once (*step* scenarios), or follow
-a trace (*cellular* scenarios), a finite buffer managed by a pluggable AQM,
-and symmetric propagation delay setting the minimum RTT.
+used by the paper. The paper's network is a dumbbell: one bottleneck link
+whose capacity may be constant (*flat* scenarios), change once (*step*
+scenarios), or follow a trace (*cellular* scenarios), a finite buffer
+managed by a pluggable AQM, and symmetric propagation delay setting the
+minimum RTT. Here that dumbbell is the smallest graph a
+:class:`~repro.netsim.topo.Topology` builds; the same engine runs parking
+lots, incast fan-ins and proxy splits.
 
 The public surface:
 
 - :class:`~repro.netsim.engine.EventLoop` — the simulation clock.
 - :class:`~repro.netsim.packet.Packet` — what flows through the network.
-- :class:`~repro.netsim.link.Link` — the bottleneck: queue + service process.
+- :mod:`~repro.netsim.topo` — the graph engine: a
+  :class:`~repro.netsim.topo.TopoLink` is one hop (AQM buffer, serializer,
+  propagation, loss); a :class:`~repro.netsim.topo.PathView` is the network
+  one flow sees (attached with a :class:`~repro.netsim.topo.PathConfig`);
+  factories build the dumbbell, parking lot, incast and proxy split.
 - :mod:`~repro.netsim.aqm` — TailDrop, HeadDrop, CoDel, PIE, BoDe, plus the
   intelligent queues: FQCoDel and LearnedECN (with
   :mod:`~repro.netsim.ecn_model` holding the marking predictor and
   :mod:`~repro.netsim.telemetry` the queue-trace recorder that trains it).
 - :mod:`~repro.netsim.traces` — capacity processes (flat, step, cellular,
   Internet-path).
-- :class:`~repro.netsim.network.Network` — wires senders, the bottleneck,
-  and receivers together.
-- :mod:`~repro.netsim.topo` — the graph engine underneath: multi-node
-  topologies (parking lot, incast, proxy split) with per-link rate, delay,
-  loss, and AQM; ``Network`` is its dumbbell facade.
 """
 
 from repro.netsim.engine import EventLoop
 from repro.netsim.packet import Packet, MSS_BYTES
-from repro.netsim.link import Link
-from repro.netsim.network import Network, PathConfig, make_network
 from repro.netsim.aqm import (
     AQM,
     ECN_CAPABLE_AQMS,
@@ -55,6 +55,7 @@ from repro.netsim.topo import (
     TOPOLOGY_CLASSES,
     FlowPath,
     Node,
+    PathConfig,
     PathView,
     TopoLink,
     Topology,
@@ -70,10 +71,7 @@ __all__ = [
     "EventLoop",
     "Packet",
     "MSS_BYTES",
-    "Link",
-    "Network",
     "PathConfig",
-    "make_network",
     "AQM",
     "TailDrop",
     "HeadDrop",

@@ -8,7 +8,7 @@ The intelligent-queue subsystem extends the set with :class:`FQCoDel`
 (a trained marking predictor over queue telemetry) — the other side of the
 CC-vs-queue arms race the ROADMAP's co-evolution league asks about.
 
-The :class:`~repro.netsim.link.Link` drives the interface: it calls
+Each :class:`~repro.netsim.topo.TopoLink` drives the interface: it calls
 :meth:`AQM.enqueue` on packet arrival and :meth:`AQM.dequeue` when the
 serializer frees up, and it keeps :attr:`AQM.current_rate_bps` up to date so
 delay-estimating disciplines (PIE, BoDe) can convert backlog to latency.
@@ -41,7 +41,7 @@ class AQM:
         #: CE marks applied by ECN-capable disciplines (0 for loss-only ones).
         self.ecn_marks = 0
         self.enqueues = 0
-        #: Updated by the Link before every enqueue/dequeue; lets the AQM
+        #: Updated by the link before every enqueue/dequeue; lets the AQM
         #: estimate queueing delay as backlog / service rate.
         self.current_rate_bps = 1e6
 

@@ -1,7 +1,8 @@
 """Queue telemetry capture for training the learned ECN predictor.
 
-:class:`QueueTelemetryRecorder` hooks into a :class:`~repro.netsim.link.Link`
-(``link.telemetry = recorder``) and logs one row per *admitted* packet:
+:class:`QueueTelemetryRecorder` hooks into one
+:class:`~repro.netsim.topo.TopoLink` (``link.telemetry = recorder``) and
+logs one row per *admitted* packet:
 
 - the four predictor features **as seen at enqueue time** — occupancy
   fraction just before admission, the queue's sojourn EWMA, arrival-rate
@@ -17,8 +18,8 @@ queue actually behaved, to recognise *at enqueue* the packets that will go
 on to blow the delay target. Traces persist as schema-versioned ``.npz``
 shards so fits are reproducible and CI can ship tiny fixtures.
 
-The hook is ``None`` by default and the Link fast path does not change when
-it is absent, so droptail event streams stay bit-identical.
+The hook is ``None`` by default and the link's fast path does not change
+when it is absent, so droptail event streams stay bit-identical.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class QueueTelemetryRecorder:
     def __len__(self) -> int:
         return len(self.sojourns)
 
-    # -- Link hooks ----------------------------------------------------
+    # -- TopoLink hooks ------------------------------------------------
     def on_enqueue(self, aqm, pkt: Packet, now: float) -> None:
         """Record the feature snapshot for an admitted packet.
 

@@ -1,14 +1,13 @@
 """Graph-topology network engine: nodes, directed links, multi-segment paths.
 
-The dumbbell of :mod:`repro.netsim.network` is one point in a much larger
-scenario space. Here a :class:`Topology` is a directed graph of
-:class:`Node`\\ s (hosts, routers, an optional proxy) joined by
-:class:`TopoLink`\\ s, each with its *own* rate process, propagation delay,
-random loss, and AQM buffer. A flow's path is a node sequence; data packets
-chain through every link's queue + serializer on the shared
-:class:`~repro.netsim.engine.EventLoop`, so a three-segment "parking lot"
-really has three independent bottlenecks with cross-traffic competing at
-each one.
+A :class:`Topology` is a directed graph of :class:`Node`\\ s (hosts,
+routers, an optional proxy) joined by :class:`TopoLink`\\ s, each with its
+*own* rate process, propagation delay, random loss, and AQM buffer. A
+flow's path is a node sequence; data packets chain through every link's
+queue + serializer on the shared :class:`~repro.netsim.engine.EventLoop`,
+so a three-segment "parking lot" really has three independent bottlenecks
+with cross-traffic competing at each one. The paper's dumbbell is the
+smallest case: :func:`dumbbell_topology`, two hosts and one link.
 
 Design invariants:
 
@@ -16,21 +15,21 @@ Design invariants:
   scheduled to *arrive* at the downstream node after the link's propagation
   delay; arrival either delivers (last node) or injects into the next
   link's queue synchronously. A single-link path therefore produces exactly
-  the event stream the historical dumbbell produced — which is what makes
-  :class:`~repro.netsim.network.Network` a bit-identical facade over this
-  engine.
-- **ACKs return uncongested.** As in the paper's emulation model (and the
-  dumbbell), acknowledgments do not queue: one event after the flow's
-  reverse-path propagation delay.
+  the event stream of the historical self-contained dumbbell
+  (``tests/test_sim_golden.py`` pins it).
+- **ACKs return uncongested.** As in the paper's emulation model,
+  acknowledgments do not queue: one event after the flow's reverse-path
+  propagation delay.
 - **Per-flow access delay.** Endpoint propagation that is not attributable
   to a shared link (the flow's "access segment") rides on the *last* hop:
   ``extra_fwd_delay`` plus optional per-flow jitter, drawn from the
   topology's seeded RNG in delivery order.
 
-The :meth:`Topology.view` adapter exposes the historical ``Network`` duck
-type (``attach_flow`` / ``send_data`` / ``send_ack`` / ``min_rtt`` /
-``queue_delay``) for one node path, so :class:`~repro.tcp.flow.Flow` and
-every scheme run unmodified over arbitrary graphs.
+:meth:`Topology.view` returns a :class:`PathView`, the network interface
+the transport speaks (``attach_flow`` with a :class:`PathConfig`,
+``send_data`` / ``send_ack`` / ``min_rtt`` / ``queue_delay``) for one node
+path, so :class:`~repro.tcp.flow.Flow` and every scheme run unmodified
+over arbitrary graphs.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.aqm import AQM, ECN_CAPABLE_AQMS, make_aqm
 from repro.netsim.engine import EventLoop
-from repro.netsim.link import Link
 from repro.netsim.packet import Packet
 from repro.netsim.traces import FlatRate, RateProcess
 
@@ -50,6 +48,7 @@ __all__ = [
     "TopoLink",
     "FlowPath",
     "Topology",
+    "PathConfig",
     "PathView",
     "dumbbell_topology",
     "parking_lot_topology",
@@ -83,16 +82,20 @@ class Node:
 class TopoLink:
     """One directed edge: AQM buffer + work-conserving serializer + propagation.
 
-    Wraps the battle-tested :class:`~repro.netsim.link.Link` for the queue
-    and service process, and adds what a graph needs on top: propagation to
-    the downstream node, optional uniform random loss, optional per-link
-    delay jitter, and an up/down switch (the chaos ``netsim.linkflap``
-    site).
+    The link drains its buffer one packet at a time; a packet of ``S`` bytes
+    occupies the serializer for ``8*S / rate(t)`` seconds, where ``rate`` is
+    a :class:`~repro.netsim.traces.RateProcess` — Mahimahi's model of a
+    trace-driven bottleneck. On top of the queue and serializer the link
+    has propagation to the downstream node, optional uniform random loss,
+    optional per-link delay jitter, an up/down switch (the chaos
+    ``netsim.linkflap`` site) and a dequeue stall (``netsim.aqmstall``).
     """
 
     __slots__ = (
-        "topology", "src", "dst", "name", "prop_delay", "loss", "jitter",
-        "inner", "up", "drops_loss", "drops_down", "index",
+        "topology", "loop", "src", "dst", "name", "prop_delay", "loss",
+        "jitter", "rate", "aqm", "telemetry", "up", "drops_loss",
+        "drops_down", "delivered_packets", "stalls", "index", "_busy",
+        "_stalled_until",
     )
 
     def __init__(
@@ -114,17 +117,26 @@ class TopoLink:
         if jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {jitter}")
         self.topology = topology
+        self.loop = topology.loop
         self.src = src
         self.dst = dst
         self.name = name if name is not None else f"{src}->{dst}"
         self.prop_delay = prop_delay
         self.loss = loss
         self.jitter = jitter
-        self.inner = Link(topology.loop, rate, aqm, self._on_serialized)
+        self.rate = rate
+        self.aqm = aqm
+        #: Optional :class:`~repro.netsim.telemetry.QueueTelemetryRecorder`;
+        #: None keeps the fast path untouched (event streams bit-identical).
+        self.telemetry = None
         self.up = True
         self.drops_loss = 0  # random-loss drops (not AQM drops)
         self.drops_down = 0  # packets offered while the link was down
+        self.delivered_packets = 0  # packets that finished serialization
+        self.stalls = 0  # dequeue stalls begun
         self.index = -1  # insertion order, set by Topology.add_link
+        self._busy = False  # a packet is in the serializer
+        self._stalled_until = 0.0
 
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
@@ -135,37 +147,66 @@ class TopoLink:
         if self.loss > 0.0 and self.topology._loss_rng.random() < self.loss:
             self.drops_loss += 1
             return False
-        return self.inner.send(pkt)
+        now = self.loop.now
+        aqm = self.aqm
+        aqm.current_rate_bps = self.rate.rate_at(now)
+        accepted = aqm.enqueue(pkt, now)
+        if accepted:
+            if self.telemetry is not None:
+                self.telemetry.on_enqueue(aqm, pkt, now)
+            if not self._busy:
+                self._serve_next()
+        return accepted
 
-    def _on_serialized(self, pkt: Packet) -> None:
-        """This link finished serializing ``pkt``: propagate it one hop."""
+    def _serve_next(self) -> None:
+        """Start serializing the next queued packet, unless stalled or empty."""
+        now = self.loop.now
+        if now < self._stalled_until:
+            self._busy = False
+            return
+        rate = self.rate.rate_at(now)
+        self.aqm.current_rate_bps = rate
+        pkt = self.aqm.dequeue(now)
+        if pkt is None:
+            self._busy = False
+            return
+        if self.telemetry is not None:
+            self.telemetry.on_dequeue(pkt, now)
+        self._busy = True
+        tx_time = pkt.size * 8.0 / (rate if rate > 1e3 else 1e3)
+        self.loop.post(tx_time, self._finish, pkt)
+
+    def _finish(self, pkt: Packet) -> None:
+        """Serialization of ``pkt`` is done: propagate it one hop, serve on.
+
+        The propagation event is posted before the next packet's
+        serialization event, so same-instant ties keep their order.
+        """
+        self.delivered_packets += 1
         topo = self.topology
         route = topo._routes.get(pkt.flow_id)
-        if route is None:
-            topo.orphaned += 1
-            return
-        arrive = route.next_hop.get(self, _OFF_PATH)
+        # a detached flow, or a stale packet from a path it no longer uses
+        arrive = _OFF_PATH if route is None else route.next_hop.get(self, _OFF_PATH)
         if arrive is _OFF_PATH:
-            # stale packet from a path this flow no longer uses
             topo.orphaned += 1
-            return
-        delay = self.prop_delay
-        if arrive is None:
+        elif arrive is None:
             # Final hop: add the flow's access propagation (+ jitter). The
             # delivered counter means "committed for delivery" — it ticks
             # here, when the packet leaves the last queue, matching the
             # historical dumbbell's accounting exactly.
             path = route.path
-            delay += path.extra_fwd_delay
+            delay = self.prop_delay + path.extra_fwd_delay
             jitter = path.jitter + self.jitter
             if jitter > 0:
                 delay += topo._jitter_rng.random() * jitter
             topo.delivered_by_flow[pkt.flow_id] += 1
-            topo.loop.post(delay, route.deliver_data, pkt)
+            self.loop.post(delay, route.deliver_data, pkt)
         else:
+            delay = self.prop_delay
             if self.jitter > 0:
                 delay += topo._jitter_rng.random() * self.jitter
-            topo.loop.post(delay, arrive, pkt)
+            self.loop.post(delay, arrive, pkt)
+        self._serve_next()
 
     def _arrive(self, pkt: Packet) -> None:
         """``pkt`` reached this link's source node from the previous hop."""
@@ -192,28 +233,46 @@ class TopoLink:
 
     # -- chaos: one-shot AQM dequeue stall -------------------------------
     def schedule_stall(self, at: float, stall_for: float) -> None:
-        """Freeze this link's dequeue side for ``stall_for`` seconds at ``at``."""
+        """Freeze this link's dequeue side for ``stall_for`` seconds at ``at``.
+
+        The buffer keeps accepting (and AQM-policing) arrivals; only service
+        stops — the chaos model of a head-of-line scheduler hiccup.
+        """
         if stall_for <= 0:
             raise ValueError(f"stall_for must be positive, got {stall_for}")
-        self.inner.schedule_stall(at, stall_for)
+        self.loop.call_later(
+            max(at - self.loop.now, 0.0), lambda: self._begin_stall(stall_for)
+        )
+
+    def _begin_stall(self, duration: float) -> None:
+        self._stalled_until = self.loop.now + duration
+        self.stalls += 1
+        self.loop.call_later(duration, self._end_stall)
+
+    def _end_stall(self) -> None:
+        if not self._busy and self.loop.now >= self._stalled_until:
+            self._serve_next()
 
     # -- introspection ----------------------------------------------------
     @property
     def queue_bytes(self) -> int:
-        return self.inner.queue_bytes
+        """Current backlog in bytes (excludes the packet in the serializer)."""
+        return self.aqm.bytes_queued
 
     @property
     def drops(self) -> int:
         """Total drops on this link: AQM + random loss + down time."""
-        return self.inner.drops + self.drops_loss + self.drops_down
+        return self.aqm.drops + self.drops_loss + self.drops_down
 
     @property
     def ecn_marks(self) -> int:
         """CE marks applied by this link's AQM."""
-        return self.inner.aqm.ecn_marks
+        return self.aqm.ecn_marks
 
     def queue_delay(self) -> float:
-        return self.inner.queue_delay()
+        """Current standing queueing delay estimate in seconds."""
+        self.aqm.current_rate_bps = self.rate.rate_at(self.loop.now)
+        return self.aqm.queue_delay_estimate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TopoLink {self.name} prop={self.prop_delay:g}s>"
@@ -451,8 +510,8 @@ class Topology:
             node = self.nodes[name]
             lines.append(f"  node {node.name:12s} [{node.kind}]")
         for link in self.links:
-            rate = link.inner.rate.rate_at(self.loop.now)
-            aqm = link.inner.aqm
+            rate = link.rate.rate_at(self.loop.now)
+            aqm = link.aqm
             kw = ", ".join(
                 f"{k}={v}" for k, v in sorted(aqm.params().items())
                 if v is not None
@@ -471,7 +530,7 @@ class Topology:
         """Per-link observability: drops (by cause), ECN marks, backlog."""
         stats = []
         for link in self.links:
-            aqm = link.inner.aqm
+            aqm = link.aqm
             stats.append({
                 "name": link.name,
                 "aqm": type(aqm).__name__,
@@ -481,27 +540,60 @@ class Topology:
                 "drops_down": link.drops_down,
                 "ecn_marks": aqm.ecn_marks,
                 "enqueues": aqm.enqueues,
-                "delivered_packets": link.inner.delivered_packets,
+                "delivered_packets": link.delivered_packets,
                 "queue_bytes": link.queue_bytes,
-                "stalls": link.inner.stalls,
+                "stalls": link.stalls,
             })
         return stats
 
     # ------------------------------------------------------------------
     def view(self, nodes: Sequence[str]) -> "PathView":
-        """A Network-compatible adapter binding flows to one node path."""
+        """The transport-facing network interface for one node path."""
         return PathView(self, tuple(nodes))
 
 
-class PathView:
-    """Network duck-type over one node path of a :class:`Topology`.
+@dataclass
+class PathConfig:
+    """Per-flow path parameters.
 
-    :class:`~repro.tcp.flow.Flow` (and anything else written against the
-    dumbbell's ``Network``) attaches with a per-flow
-    :class:`~repro.netsim.network.PathConfig`; the view translates its
-    ``min_rtt`` into access-segment delays on top of the path's link
-    propagation: forward extra = ``max(min_rtt/2 - sum(link props), 0)``,
-    reverse delay = ``min_rtt/2``.
+    ``min_rtt`` is split evenly between the two directions. ``jitter`` adds
+    a uniform random extra delay in ``[0, jitter]`` seconds to each data
+    packet's forward propagation — enough jitter reorders packets,
+    exercising the SACK machinery the way real multi-path WANs do.
+    """
+
+    min_rtt: float  # seconds, propagation round trip (no queueing)
+    jitter: float = 0.0  # seconds of uniform forward-path delay jitter
+
+    def __post_init__(self) -> None:
+        if self.min_rtt <= 0:
+            raise ValueError(f"min_rtt must be positive, got {self.min_rtt}")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+
+    @property
+    def fwd_delay(self) -> float:
+        return self.min_rtt / 2.0
+
+    @property
+    def rev_delay(self) -> float:
+        return self.min_rtt / 2.0
+
+
+class PathView:
+    """The network a flow sees: one node path of a :class:`Topology`.
+
+    Endpoints register per flow id a ``data_sink`` (receiver side, called
+    when a data packet arrives) and an ``ack_sink`` (sender side, called
+    when an ACK returns); senders inject data with :meth:`send_data`,
+    receivers return ACKs with :meth:`send_ack`.
+
+    :class:`~repro.tcp.flow.Flow` attaches with a per-flow
+    :class:`PathConfig`; the view translates its ``min_rtt`` into
+    access-segment delays on top of the path's link propagation: forward
+    extra = ``max(min_rtt/2 - sum(link props), 0)``, reverse delay =
+    ``min_rtt/2``. On a dumbbell (no link propagation) that is exactly the
+    flow's ``min_rtt``, split evenly.
     """
 
     __slots__ = ("topology", "nodes", "_prop_sum", "loop", "send_data", "send_ack")
@@ -519,7 +611,14 @@ class PathView:
             for u, v in zip(nodes, nodes[1:])
         )
 
-    def attach_flow(self, flow_id, path, data_sink, ack_sink) -> None:
+    def attach_flow(
+        self,
+        flow_id: int,
+        path: PathConfig,
+        data_sink: Callable[[Packet], None],
+        ack_sink: Callable[[Packet], None],
+    ) -> None:
+        """Register a flow's path and its two delivery callbacks."""
         extra_fwd = max(path.fwd_delay - self._prop_sum, 0.0)
         self.topology.attach_flow(
             flow_id,
@@ -534,9 +633,12 @@ class PathView:
         )
 
     def detach_flow(self, flow_id: int) -> None:
+        """Forget a flow; its in-flight packets are discarded on arrival."""
         self.topology.detach_flow(flow_id)
 
     def min_rtt(self, flow_id: int) -> float:
+        """Propagation round trip: ``PathConfig.min_rtt`` unless the links
+        alone take longer."""
         return self.topology.min_rtt(flow_id)
 
     @property
@@ -570,11 +672,19 @@ def dumbbell_topology(
     loop: Optional[EventLoop] = None,
     seed: int = 0,
 ) -> Topology:
-    """The historical single-bottleneck graph: ``snd -> rcv``, one link.
+    """The paper's single-bottleneck graph: ``snd -> rcv``, one link.
 
-    Propagation lives entirely in the per-flow access segments (exactly the
-    dumbbell's model), so this graph reproduces the old ``Network`` event
-    stream bit for bit.
+    ::
+
+        sender_1 ─┐                                    ┌─ receiver_1
+        sender_2 ─┼─> [ AQM buffer | bottleneck link ] ┼─> receiver_2
+           ...    ┘        shared, rate(t)             └─    ...
+
+    Data packets from every flow share the one bottleneck; each flow then
+    sees its own one-way propagation delay, and ACKs return on an
+    uncongested reverse path. Propagation lives entirely in the per-flow
+    access segments, so ``view(("snd", "rcv"))`` splits each flow's
+    ``min_rtt`` evenly between the two directions.
     """
     topo = Topology(loop=loop, seed=seed)
     topo.add_node("snd", kind="host")

@@ -1,10 +1,16 @@
 """Row-consistent batched inference primitives.
 
 The serving engine folds N concurrent flows into one ``(N, D)`` forward
-pass. For that to be *provably* equivalent to N independent batch=1 passes
-(the guarantee `tests/test_serve.py` enforces bit-for-bit), every batched
-op must produce, for each row, the exact same floats regardless of how many
-other rows share the batch.
+pass. For a flow's decision stream not to depend on which other flows
+share its batch (the guarantee `tests/test_serve.py` enforces
+bit-for-bit), every batched op must produce, for each row, the exact same
+floats regardless of how many other rows share the batch.
+
+The scope of that guarantee is NN-tier batches of two or more flows. A flow
+that is alone in its tick's NN batch is served by
+:class:`~repro.core.networks.FastPolicy`'s 1-D BLAS-gemv path instead,
+which keeps single-flow serving bit-identical to ``SageAgent`` and differs
+from these kernels by float rounding.
 
 ``@`` / ``np.matmul`` do not have that property: BLAS gemm picks different
 blocking (and therefore different summation order) for different batch

@@ -13,9 +13,9 @@ tier, organized as a **three-tier router** per control tick:
   answered right there and never reach the NN.
 - **tier 1 — batched NN**: the uncertain remainder is gathered into a
   single ``(M, 69)`` batched forward (`FastPolicy.step_batch`, bitwise
-  row-consistent for any batch composition). With no distilled controller
-  this is every flow — the engine then behaves exactly (bitwise) like the
-  pre-tiering batched server.
+  row-consistent for any batch composition with ``M >= 2``). With no
+  distilled controller this is every flow — the engine then behaves
+  exactly (bitwise) like the pre-tiering batched server.
 - **tier 2 — heuristic fallback**: ratio-space CUBIC/AIMD answers flows
   whose NN output was non-finite or that degraded after ``max_misses``
   consecutive deadline misses, exactly as before.
@@ -30,9 +30,12 @@ allocate and free one row of everything.
 
 The deadline machinery applies to the NN tier only: tier-0 answers are
 effectively instantaneous and keep their flows fresh through an inference
-brown-out. A batch of one takes the legacy 1-D ``FastPolicy`` fast path
-(BLAS gemv), which keeps single-flow serving bit-identical to the
-historical ``SageAgent`` — the pretrained-checkpoint gates depend on that.
+brown-out. A batch of one takes the 1-D ``FastPolicy`` path (BLAS gemv),
+which keeps single-flow serving bit-identical to ``SageAgent`` — the
+pretrained-checkpoint gates depend on that. So composition invariance
+holds for NN-tier batches of two or more: a flow's decision can change in
+the last ulp on a tick where it is the only one left for the NN (the
+batched kernels at ``M = 1`` would not match ``SageAgent`` either).
 """
 
 from __future__ import annotations
@@ -437,7 +440,8 @@ class PolicyServer:
     def _forward(
         self, x: np.ndarray, sessions: List[_FlowSession]
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One forward pass; batch=1 takes the legacy bit-exact 1-D path."""
+        """One forward pass; batch=1 takes the 1-D gemv path (bit-exact
+        with ``SageAgent``)."""
         if len(sessions) == 1:
             sess = sessions[0]
             h = self._table[sess.row] if self._hdim else None

@@ -301,7 +301,7 @@ def run_served_workload(
     links = [
         topo.link_between(u, v) for u, v in zip(first_path, first_path[1:])
     ]
-    bottleneck = min(l.inner.rate.rate_at(0.0) for l in links)
+    bottleneck = min(l.rate.rate_at(0.0) for l in links)
     base_rtt = max(cfg.min_rtt, sum(l.prop_delay for l in links) * 2.0)
     fct = FctSummary.from_records(runner.records, base_rtt, bottleneck)
     return WorkloadServeResult(

@@ -12,7 +12,7 @@ provides:
   heuristics forming Sage's pool plus the delay-based league (Copa, LEDBAT,
   C2TCP, Sprout).
 - :class:`~repro.tcp.flow.Flow` — sender+receiver bound to a
-  :class:`~repro.netsim.network.Network`, with throughput/delay monitors.
+  :class:`~repro.netsim.topo.PathView`, with throughput/delay monitors.
 """
 
 from repro.tcp.cc_base import CongestionControl, register_scheme, make_scheme, scheme_names

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.netsim.network import Network, PathConfig
 from repro.netsim.packet import MSS_BYTES
+from repro.netsim.topo import PathConfig, PathView
 from repro.tcp.cc_base import CongestionControl, make_scheme
 from repro.tcp.socket import TcpReceiver, TcpSender
 
@@ -42,7 +42,7 @@ class FlowStats:
 
 
 class Flow:
-    """Sender/receiver pair attached to a shared :class:`Network`."""
+    """Sender/receiver pair attached to a shared :class:`~repro.netsim.topo.PathView`."""
 
     __slots__ = (
         "cc",
@@ -64,7 +64,7 @@ class Flow:
 
     def __init__(
         self,
-        network: Network,
+        network: PathView,
         flow_id: int,
         scheme,
         min_rtt: float,

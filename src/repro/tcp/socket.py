@@ -23,8 +23,8 @@ from itertools import filterfalse, islice
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.netsim.engine import EventLoop, Timer
-from repro.netsim.network import Network
 from repro.netsim.packet import ACK_BYTES, MSS_BYTES, Packet
+from repro.netsim.topo import PathView
 from repro.tcp.cc_base import CongestionControl
 
 # Socket congestion-avoidance states (mirrors kernel TCP_CA_*).
@@ -74,7 +74,7 @@ class TcpReceiver:
     def __init__(
         self,
         flow_id: int,
-        network: Network,
+        network: PathView,
         delayed_acks: bool = False,
         delack_timeout: float = 0.040,
     ) -> None:
@@ -244,7 +244,7 @@ class TcpSender:
     def __init__(
         self,
         flow_id: int,
-        network: Network,
+        network: PathView,
         cc: CongestionControl,
         initial_cwnd: float = 10.0,
         max_cwnd: float = 4096.0,

@@ -286,7 +286,7 @@ def run_workload(
         topology.link_between(u, v)
         for u, v in zip(route_list[0], route_list[0][1:])
     ]
-    bottleneck_bps = min(l.inner.rate.rate_at(0.0) for l in first_links)
+    bottleneck_bps = min(l.rate.rate_at(0.0) for l in first_links)
     base_rtt = max(min_rtt, sum(l.prop_delay for l in first_links) * 2.0)
 
     records = sorted(runner.records, key=lambda r: (r.start, r.flow_id))

@@ -55,17 +55,17 @@ class TestBuildNetworkAqm:
             ("learned_ecn", LearnedECN),
         ):
             _, network = build_network(self._env(aqm))
-            assert isinstance(network.link.aqm, cls)
+            assert isinstance(network.topology.links[0].aqm, cls)
 
     def test_taildrop_threshold_armed(self):
         _, network = build_network(self._env("taildrop", threshold=0.5))
-        q = network.link.aqm
+        q = network.topology.links[0].aqm
         assert q.ecn_threshold_bytes is not None and q.ecn_threshold_bytes > 0
 
     def test_native_markers_accept_threshold_request(self):
         for aqm in ("fq_codel", "learned_ecn"):
             _, network = build_network(self._env(aqm, threshold=0.5))
-            assert network.link.aqm.ecn_marks == 0  # built fine, marks natively
+            assert network.topology.links[0].aqm.ecn_marks == 0  # built fine, marks natively
 
     def test_loss_only_aqm_rejects_threshold(self):
         with pytest.raises(ValueError, match="cannot honour"):

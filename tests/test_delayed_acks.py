@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network, PathConfig
+from repro.netsim.topo import PathConfig, dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.cc_base import make_scheme
 from repro.tcp.socket import TcpReceiver, TcpSender
@@ -12,7 +12,7 @@ from repro.tcp.socket import TcpReceiver, TcpSender
 
 def wire(delayed, bw=12e6, rtt=0.04, buf=120_000):
     loop = EventLoop()
-    net = Network(loop, FlatRate(bw), TailDrop(buf))
+    net = dumbbell_topology(FlatRate(bw), TailDrop(buf), loop=loop).view(("snd", "rcv"))
     receiver = TcpReceiver(0, net, delayed_acks=delayed)
     sender = TcpSender(0, net, make_scheme("cubic"))
     net.attach_flow(0, PathConfig(min_rtt=rtt),

@@ -9,7 +9,7 @@ from repro.core.training import collect_pool
 from repro.evalx.leagues import Participant, run_league
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.flow import Flow
 
@@ -44,7 +44,7 @@ class TestExtremeNetworks:
 
     def test_max_cwnd_window_limits_flow(self):
         loop = EventLoop()
-        net = Network(loop, FlatRate(96e6), TailDrop(10_000_000))
+        net = dumbbell_topology(FlatRate(96e6), TailDrop(10_000_000), loop=loop).view(("snd", "rcv"))
         flow = Flow(net, 0, "cubic", min_rtt=0.2)  # BDP = 1600 pkts
         flow.sender.max_cwnd = 100.0
         flow.start()
@@ -55,7 +55,7 @@ class TestExtremeNetworks:
 
     def test_initial_cwnd_respected(self):
         loop = EventLoop()
-        net = Network(loop, FlatRate(12e6), TailDrop(120_000))
+        net = dumbbell_topology(FlatRate(12e6), TailDrop(120_000), loop=loop).view(("snd", "rcv"))
         flow = Flow(net, 0, "vegas", min_rtt=0.04, initial_cwnd=2.0)
         flow.start()
         loop.run_until(0.05)  # just past the first RTT

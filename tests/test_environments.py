@@ -63,8 +63,8 @@ class TestEnvConfig:
             aqm="codel",
         )
         loop, net = build_network(env)
-        assert net.link.aqm.name == "codel"
-        assert net.link.aqm.capacity_bytes == env.buffer_bytes
+        assert net.topology.links[0].aqm.name == "codel"
+        assert net.topology.links[0].aqm.capacity_bytes == env.buffer_bytes
 
     def test_build_network_with_ecn(self):
         env = EnvConfig(
@@ -72,7 +72,7 @@ class TestEnvConfig:
             buffer_bdp=4.0, ecn_threshold_bdp=0.25,
         )
         loop, net = build_network(env)
-        assert net.link.aqm.ecn_threshold_bytes == int(0.25 * env.bdp_bytes)
+        assert net.topology.links[0].aqm.ecn_threshold_bytes == int(0.25 * env.bdp_bytes)
 
     def test_ecn_requires_taildrop(self):
         env = EnvConfig(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.cc_base import make_scheme
 from repro.tcp.flow import Flow
@@ -13,7 +13,7 @@ from repro.tcp.flow import Flow
 
 def make(scheme="cubic", start_at=0.0):
     loop = EventLoop()
-    net = Network(loop, FlatRate(12e6), TailDrop(120_000))
+    net = dumbbell_topology(FlatRate(12e6), TailDrop(120_000), loop=loop).view(("snd", "rcv"))
     flow = Flow(net, 0, scheme, min_rtt=0.04, start_at=start_at)
     return loop, flow
 
@@ -21,7 +21,7 @@ def make(scheme="cubic", start_at=0.0):
 class TestFlow:
     def test_accepts_scheme_instance(self):
         loop = EventLoop()
-        net = Network(loop, FlatRate(12e6), TailDrop(120_000))
+        net = dumbbell_topology(FlatRate(12e6), TailDrop(120_000), loop=loop).view(("snd", "rcv"))
         cc = make_scheme("vegas")
         flow = Flow(net, 0, cc, min_rtt=0.04)
         assert flow.cc is cc

@@ -17,14 +17,14 @@ from repro.collector.gr_unit import (
 )
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.flow import Flow
 
 
 def make_gr(windows=None, bw=12e6, rtt=0.04):
     loop = EventLoop()
-    net = Network(loop, FlatRate(bw), TailDrop(60_000))
+    net = dumbbell_topology(FlatRate(bw), TailDrop(60_000), loop=loop).view(("snd", "rcv"))
     flow = Flow(net, 0, "cubic", min_rtt=rtt)
     flow.start()
     return loop, flow, GRUnit(flow.sender, windows=windows)

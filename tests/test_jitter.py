@@ -4,8 +4,8 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network, PathConfig
 from repro.netsim.packet import Packet
+from repro.netsim.topo import PathConfig, dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.flow import Flow
 from repro.tcp.socket import TcpReceiver, TcpSender
@@ -14,7 +14,8 @@ from repro.tcp.cc_base import make_scheme
 
 def jittered_flow(jitter, scheme="cubic", bw=12e6, rtt=0.04, dur=5.0):
     loop = EventLoop()
-    net = Network(loop, FlatRate(bw), TailDrop(120_000), seed=1)
+    topo = dumbbell_topology(FlatRate(bw), TailDrop(120_000), loop=loop, seed=1)
+    net = topo.view(("snd", "rcv"))
     cc = make_scheme(scheme)
     receiver = TcpReceiver(0, net)
     sender = TcpSender(0, net, cc)
@@ -40,7 +41,8 @@ class TestPathConfig:
 class TestReordering:
     def test_jitter_causes_out_of_order_arrivals(self):
         loop = EventLoop()
-        net = Network(loop, FlatRate(100e6), TailDrop(1_000_000), seed=2)
+        topo = dumbbell_topology(FlatRate(100e6), TailDrop(1_000_000), loop=loop, seed=2)
+        net = topo.view(("snd", "rcv"))
         arrivals = []
         net.attach_flow(
             0, PathConfig(min_rtt=0.02, jitter=0.005),

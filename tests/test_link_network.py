@@ -4,9 +4,8 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.link import Link
-from repro.netsim.network import Network, PathConfig, make_network
 from repro.netsim.packet import Packet
+from repro.netsim.topo import FlowPath, PathConfig, Topology, dumbbell_topology
 from repro.netsim.traces import FlatRate, StepRate
 
 
@@ -14,11 +13,22 @@ def data(seq, flow=0, size=1500):
     return Packet(flow_id=flow, seq=seq, size=size)
 
 
+def one_link(loop, rate, aqm, on_deliver):
+    """A one-link topology ``a -> b`` without propagation delay, so
+    ``on_deliver`` runs the instant a packet's serialization ends."""
+    topo = Topology(loop=loop)
+    topo.add_node("a")
+    topo.add_node("b")
+    link = topo.add_link("a", "b", rate, aqm)
+    topo.attach_flow(0, FlowPath(("a", "b")), on_deliver, lambda p: None)
+    return link
+
+
 class TestLink:
     def test_serialization_time(self):
         loop = EventLoop()
         delivered = []
-        link = Link(loop, FlatRate(12e6), TailDrop(100_000), lambda p: delivered.append(loop.now))
+        link = one_link(loop, FlatRate(12e6), TailDrop(100_000), lambda p: delivered.append(loop.now))
         link.send(data(0))  # 1500 B at 12 Mbps = 1 ms
         loop.run_until(1.0)
         assert delivered == [pytest.approx(0.001)]
@@ -26,7 +36,7 @@ class TestLink:
     def test_back_to_back_packets_queue(self):
         loop = EventLoop()
         delivered = []
-        link = Link(loop, FlatRate(12e6), TailDrop(100_000), lambda p: delivered.append(loop.now))
+        link = one_link(loop, FlatRate(12e6), TailDrop(100_000), lambda p: delivered.append(loop.now))
         link.send(data(0))
         link.send(data(1))
         loop.run_until(1.0)
@@ -35,7 +45,7 @@ class TestLink:
     def test_delivery_preserves_order(self):
         loop = EventLoop()
         seqs = []
-        link = Link(loop, FlatRate(100e6), TailDrop(1_000_000), lambda p: seqs.append(p.seq))
+        link = one_link(loop, FlatRate(100e6), TailDrop(1_000_000), lambda p: seqs.append(p.seq))
         for i in range(20):
             link.send(data(i))
         loop.run_until(1.0)
@@ -43,7 +53,7 @@ class TestLink:
 
     def test_drops_counted(self):
         loop = EventLoop()
-        link = Link(loop, FlatRate(1e6), TailDrop(3000), lambda p: None)
+        link = one_link(loop, FlatRate(1e6), TailDrop(3000), lambda p: None)
         for i in range(10):
             link.send(data(i))
         assert link.drops > 0
@@ -51,7 +61,7 @@ class TestLink:
     def test_rate_change_affects_service(self):
         loop = EventLoop()
         delivered = []
-        link = Link(
+        link = one_link(
             loop, StepRate(12e6, 2.0, t_switch=0.0009), TailDrop(100_000),
             lambda p: delivered.append(loop.now),
         )
@@ -62,7 +72,7 @@ class TestLink:
 
     def test_queue_delay_estimate(self):
         loop = EventLoop()
-        link = Link(loop, FlatRate(12e6), TailDrop(1_000_000), lambda p: None)
+        link = one_link(loop, FlatRate(12e6), TailDrop(1_000_000), lambda p: None)
         for i in range(11):
             link.send(data(i))
         # 10 queued behind 1 in service: 10 * 1500 * 8 / 12e6 = 10 ms
@@ -72,7 +82,9 @@ class TestLink:
 class TestNetwork:
     def _net(self):
         loop = EventLoop()
-        return loop, Network(loop, FlatRate(12e6), TailDrop(100_000))
+        return loop, dumbbell_topology(
+            FlatRate(12e6), TailDrop(100_000), loop=loop
+        ).view(("snd", "rcv"))
 
     def test_data_arrives_after_service_plus_prop(self):
         loop, net = self._net()
@@ -138,8 +150,3 @@ class TestNetwork:
     def test_path_config_validation(self):
         with pytest.raises(ValueError):
             PathConfig(min_rtt=0.0)
-
-    def test_make_network_defaults(self):
-        net = make_network(FlatRate(1e6), buffer_bytes=10_000)
-        assert isinstance(net, Network)
-        assert isinstance(net.link.aqm, TailDrop)

@@ -90,13 +90,13 @@ class TestSimulationWithTrace:
     def test_flow_over_mahimahi_trace(self):
         from repro.netsim.aqm import TailDrop
         from repro.netsim.engine import EventLoop
-        from repro.netsim.network import Network
+        from repro.netsim.topo import dumbbell_topology
         from repro.tcp.flow import Flow
 
         lines = mahimahi_from_rate([12e6] * 50, slot=0.1)
         trace = trace_from_mahimahi(lines, slot=0.1)
         loop = EventLoop()
-        net = Network(loop, trace, TailDrop(120_000))
+        net = dumbbell_topology(trace, TailDrop(120_000), loop=loop).view(("snd", "rcv"))
         flow = Flow(net, 0, "cubic", min_rtt=0.04)
         flow.start()
         loop.run_until(4.0)

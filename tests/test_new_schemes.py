@@ -5,7 +5,7 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.cc_base import make_scheme
 from repro.tcp.flow import Flow
@@ -30,7 +30,7 @@ class FakeSock:
 def run_flow(scheme, bw=24e6, rtt=0.02, buf=120_000, ecn_k=None, dur=8.0):
     loop = EventLoop()
     aqm = TailDrop(buf, ecn_threshold_bytes=ecn_k)
-    net = Network(loop, FlatRate(bw), aqm)
+    net = dumbbell_topology(FlatRate(bw), aqm, loop=loop).view(("snd", "rcv"))
     flow = Flow(net, 0, scheme, min_rtt=rtt)
     flow.start()
     t = 0.0
@@ -175,7 +175,7 @@ class TestTcpLp:
         assert solo > 0.3 * 24e6
         # vs cubic: takes far less than fair share
         loop = EventLoop()
-        net = Network(loop, FlatRate(24e6), TailDrop(240_000))
+        net = dumbbell_topology(FlatRate(24e6), TailDrop(240_000), loop=loop).view(("snd", "rcv"))
         cubic = Flow(net, 1, "cubic", min_rtt=0.02)
         lp = Flow(net, 0, "lp", min_rtt=0.02, start_at=1.0)
         cubic.start()

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import PathConfig, dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.flow import Flow
 
@@ -19,7 +19,8 @@ class TestWorkBounds:
         # hybla overshoots hard; pre-fix this produced ~10x the sends of the
         # delivered packets via retransmission storms
         loop = EventLoop()
-        net = Network(loop, FlatRate(48e6), TailDrop(int(48e6 * 0.04 / 8)))
+        buf = int(48e6 * 0.04 / 8)
+        net = dumbbell_topology(FlatRate(48e6), TailDrop(buf), loop=loop).view(("snd", "rcv"))
         flow = Flow(net, 0, "hybla", min_rtt=0.04)
         flow.start()
         loop.run_until(10.0)
@@ -32,7 +33,7 @@ class TestWorkBounds:
         # a policy pinning ratio=3 every tick must be stopped by max_cwnd,
         # not flood the simulator with millions of sends
         loop = EventLoop()
-        net = Network(loop, FlatRate(12e6), TailDrop(120_000))
+        net = dumbbell_topology(FlatRate(12e6), TailDrop(120_000), loop=loop).view(("snd", "rcv"))
         flow = Flow(net, 0, "newreno", min_rtt=0.04)
         flow.sender.external_cwnd_control = True
         flow.start()
@@ -51,10 +52,10 @@ class TestWorkBounds:
         from repro.tcp.socket import TcpReceiver
 
         loop = EventLoop()
-        net = Network(loop, FlatRate(12e6), TailDrop(120_000))
+        net = dumbbell_topology(FlatRate(12e6), TailDrop(120_000), loop=loop).view(("snd", "rcv"))
         acks = []
         recv = TcpReceiver(0, net)
-        net.attach_flow(0, __import__("repro.netsim.network", fromlist=["PathConfig"]).PathConfig(min_rtt=0.02),
+        net.attach_flow(0, PathConfig(min_rtt=0.02),
                         data_sink=lambda p: None, ack_sink=lambda p: None)
         net.send_ack = lambda a: acks.append(a)  # capture instead of routing
         # deliver every 3rd packet over a huge span: thousands of holes

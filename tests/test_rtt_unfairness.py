@@ -9,7 +9,7 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.flow import Flow
 
@@ -18,7 +18,8 @@ def rtt_unfairness(scheme, rtt_short=0.02, rtt_long=0.08, bw=24e6, dur=40.0):
     """Run one short-RTT and one long-RTT flow of the same scheme; return
     throughput(short) / throughput(long)."""
     loop = EventLoop()
-    net = Network(loop, FlatRate(bw), TailDrop(int(2 * bw * rtt_long / 8)))
+    buf = int(2 * bw * rtt_long / 8)
+    net = dumbbell_topology(FlatRate(bw), TailDrop(buf), loop=loop).view(("snd", "rcv"))
     short = Flow(net, 0, scheme, min_rtt=rtt_short)
     long_ = Flow(net, 1, scheme, min_rtt=rtt_long)
     short.start()

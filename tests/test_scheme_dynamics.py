@@ -11,14 +11,15 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.flow import Flow
 
 
 def run_and_trace(scheme, bw=24e6, rtt=0.04, buf_bdp=1.0, dur=20.0, dt=0.05):
     loop = EventLoop()
-    net = Network(loop, FlatRate(bw), TailDrop(int(buf_bdp * bw * rtt / 8)))
+    buf = int(buf_bdp * bw * rtt / 8)
+    net = dumbbell_topology(FlatRate(bw), TailDrop(buf), loop=loop).view(("snd", "rcv"))
     flow = Flow(net, 0, scheme, min_rtt=rtt)
     flow.start()
     t = 0.0

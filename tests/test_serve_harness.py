@@ -78,17 +78,27 @@ class TestMultiFlowHarness:
             MultiFlowConfig(n_flows=0)
 
 
+def _no_deadline(deterministic=False, seed=0):
+    """Serving without the wall-clock inference deadline: a determinism
+    test must not depend on whether the machine stalled for 20 ms."""
+    return ServeConfig(deterministic=deterministic, seed=seed, tick_budget=None)
+
+
 class TestServedAgent:
     def test_matches_sage_agent_deterministic(self, policy):
         env = _tiny_env()
         base = run_policy(env, SageAgent(policy, deterministic=True))
-        served = run_policy(env, ServedAgent(policy, deterministic=True))
+        served = run_policy(
+            env, ServedAgent(policy, config=_no_deadline(deterministic=True))
+        )
         assert np.array_equal(base.actions, served.actions)
 
     def test_matches_sage_agent_stochastic(self, policy):
         env = _tiny_env()
         base = run_policy(env, SageAgent(policy, seed=7))
-        served = run_policy(env, ServedAgent(policy, seed=7))
+        served = run_policy(
+            env, ServedAgent(policy, seed=7, config=_no_deadline(seed=7))
+        )
         assert np.array_equal(base.actions, served.actions)
 
     def test_act_before_reset_raises(self, policy):
@@ -133,7 +143,9 @@ class TestServedLeague:
             **kwargs,
         )
         via_serve = run_league(
-            [Participant.from_served(policy, deterministic=True, name="sage")],
+            [Participant.from_served(
+                policy, name="sage", config=_no_deadline(deterministic=True)
+            )],
             **kwargs,
         )
         assert via_agent.set1_rates == via_serve.set1_rates
@@ -163,12 +175,14 @@ class TestServedLeague:
             duration=4.0,
         )
         tiered = Participant.from_served(
-            policy, name="sage-tiered", deterministic=True, distilled=distilled
+            policy, name="sage-tiered", distilled=distilled,
+            config=_no_deadline(deterministic=True),
         )
         league = run_league(
             [
                 Participant.from_served(
-                    policy, name="sage-nn", deterministic=True
+                    policy, name="sage-nn",
+                    config=_no_deadline(deterministic=True),
                 ),
                 tiered,
             ],

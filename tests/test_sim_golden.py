@@ -33,8 +33,6 @@ from repro.netsim import (
     parking_lot_topology,
 )
 from repro.netsim.aqm import TailDrop
-from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
 from repro.netsim.packet import Packet
 from repro.netsim.telemetry import load_traces
 from repro.netsim.traces import FlatRate, StepRate
@@ -74,8 +72,8 @@ def rollout_digest(env_index: int, scheme: str) -> str:
 
 
 def delayed_ack_digest() -> str:
-    loop = EventLoop()
-    net = Network(loop, FlatRate(4e6), TailDrop(9000))
+    net = dumbbell_view(FlatRate(4e6), 9000)
+    loop = net.loop
     receiver = TcpReceiver(0, net, delayed_acks=True)
     sender = TcpSender(0, net, make_scheme("cubic"))
     net.attach_flow(0, PathConfig(min_rtt=0.04),

@@ -8,7 +8,7 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.cc_base import CongestionControl
 from repro.tcp.flow import Flow
@@ -37,7 +37,7 @@ class HoldCC(CongestionControl):
 
 def make_flow(bw=12e6, rtt=0.04, buf=60_000, cc=None, cwnd=10.0):
     loop = EventLoop()
-    net = Network(loop, FlatRate(bw), TailDrop(buf))
+    net = dumbbell_topology(FlatRate(bw), TailDrop(buf), loop=loop).view(("snd", "rcv"))
     cc = cc if cc is not None else HoldCC(cwnd)
     flow = Flow(net, 0, cc, min_rtt=rtt)
     return loop, net, flow

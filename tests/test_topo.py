@@ -2,27 +2,22 @@
 
 Two pillars:
 
-- **Facade fidelity** — the dumbbell `Network` is now a thin view over a
-  two-node graph; `_LegacyNetwork` below is a verbatim copy of the
-  pre-graph implementation, and the equivalence tests assert the rewrite
-  reproduces its event streams *bitwise* (identical delivery/ACK
-  timestamps, identical jitter draws, identical sender evolution).
+- **Dumbbell fidelity** — the paper's dumbbell is a two-node graph; the
+  3-flow and raw jitter/ACK scenarios must reproduce, bit for bit, the
+  event streams the pre-graph dumbbell emitted (golden digests in
+  `tests/test_sim_golden.py`: identical sender evolution, counters and
+  jitter draws).
 - **Parking-lot physics** — multi-bottleneck closed-form checks: who gets
   which share, where the queue actually builds.
 """
 
-import random as _random
-from typing import Callable, Dict
-
 import pytest
 
 from repro.netsim.aqm import TailDrop
-from repro.netsim.engine import EventLoop
-from repro.netsim.link import Link
-from repro.netsim.network import Network, PathConfig
-from repro.netsim.packet import MSS_BYTES, Packet
+from repro.netsim.packet import Packet
 from repro.netsim.topo import (
     TOPOLOGY_CLASSES,
+    PathConfig,
     Topology,
     describe_topology,
     dumbbell_topology,
@@ -46,91 +41,27 @@ from tests.test_sim_golden import (
 )
 
 
-# ---------------------------------------------------------------------------
-# the pre-graph dumbbell, copied verbatim: the bit-identity reference
-# ---------------------------------------------------------------------------
-
-
-class _LegacyNetwork:
-    def __init__(self, loop, rate, aqm, seed=0):
-        self.loop = loop
-        self.link = Link(loop, rate, aqm, self._on_link_deliver)
-        self._jitter_rng = _random.Random(seed)
-        self._paths: Dict[int, PathConfig] = {}
-        self._data_sinks: Dict[int, Callable[[Packet], None]] = {}
-        self._ack_sinks: Dict[int, Callable[[Packet], None]] = {}
-        self.dropped_by_flow: Dict[int, int] = {}
-        self.delivered_by_flow: Dict[int, int] = {}
-
-    def attach_flow(self, flow_id, path, data_sink, ack_sink):
-        if flow_id in self._paths:
-            raise ValueError(f"flow {flow_id} already attached")
-        self._paths[flow_id] = path
-        self._data_sinks[flow_id] = data_sink
-        self._ack_sinks[flow_id] = ack_sink
-        self.dropped_by_flow[flow_id] = 0
-        self.delivered_by_flow[flow_id] = 0
-
-    def send_data(self, pkt):
-        if pkt.flow_id not in self._paths:
-            raise KeyError(f"unknown flow {pkt.flow_id}")
-        accepted = self.link.send(pkt)
-        if not accepted:
-            self.dropped_by_flow[pkt.flow_id] += 1
-
-    def _on_link_deliver(self, pkt):
-        path = self._paths[pkt.flow_id]
-        sink = self._data_sinks[pkt.flow_id]
-        self.delivered_by_flow[pkt.flow_id] += 1
-        delay = path.fwd_delay
-        if path.jitter > 0:
-            delay += self._jitter_rng.random() * path.jitter
-        self.loop.call_later(delay, lambda p=pkt: sink(p))
-
-    def send_ack(self, ack):
-        path = self._paths[ack.flow_id]
-        sink = self._ack_sinks[ack.flow_id]
-        self.loop.call_later(path.rev_delay, lambda p=ack: sink(p))
-
-    def min_rtt(self, flow_id):
-        return self._paths[flow_id].min_rtt
-
-    @property
-    def queue_delay(self):
-        return self.link.queue_delay()
-
-
 class TestDumbbellBitIdentity:
-    """The graph-backed facade must equal the legacy dumbbell bitwise."""
+    """The dumbbell graph must reproduce the pre-graph dumbbell bitwise."""
 
     @pytest.mark.parametrize("kind", sorted(DUMBBELL_RATES))
     def test_flows_evolve_identically(self, kind):
-        rate_factory = DUMBBELL_RATES[kind]
-        legacy = run_dumbbell(
-            _LegacyNetwork(EventLoop(), rate_factory(), TailDrop(60_000))
-        )
-        graph = run_dumbbell(dumbbell_view(rate_factory(), 60_000))
-        assert legacy[0] == graph[0]  # full cwnd/una/retx trace, exact
-        assert legacy[1] == graph[1]  # delivered/dropped counters, exact
-        for ls, gs in zip(legacy[2], graph[2]):
-            assert ls.avg_throughput_bps == gs.avg_throughput_bps
-            assert ls.loss_rate == gs.loss_rate
-        assert dumbbell_digests(graph) == GOLDEN_DUMBBELL[kind]
+        """Full cwnd/una/retx trace, delivered/dropped counters, per-flow
+        throughput and loss — exact."""
+        run = run_dumbbell(dumbbell_view(DUMBBELL_RATES[kind](), 60_000))
+        assert dumbbell_digests(run) == GOLDEN_DUMBBELL[kind]
 
     def test_jitter_stream_identical(self):
         """Raw-API check: seeded jitter draws land at identical times."""
-        legacy = drive_jitter(
-            _LegacyNetwork(EventLoop(), FlatRate(10e6), TailDrop(30_000), seed=3)
-        )
-        graph = drive_jitter(dumbbell_view(FlatRate(10e6), 30_000, seed=3))
-        assert legacy == graph
-        assert _json_sha(graph) == GOLDEN_JITTER
+        events = drive_jitter(dumbbell_view(FlatRate(10e6), 30_000, seed=3))
+        assert _json_sha(events) == GOLDEN_JITTER
 
     def test_facade_exposes_graph(self):
-        net = Network(EventLoop(), FlatRate(24e6), TailDrop(60_000))
+        aqm = TailDrop(60_000)
+        net = dumbbell_topology(FlatRate(24e6), aqm).view(("snd", "rcv"))
         assert list(net.topology.nodes) == ["snd", "rcv"]
         assert len(net.topology.links) == 1
-        assert net.link is net.topology.links[0].inner
+        assert net.topology.links[0].aqm is aqm
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +193,15 @@ class TestFactories:
         assert sum(1 for n in topo.nodes.values() if n.kind == "host") == 5
         egress = topo.link_between("sw", "rcv")
         access = topo.link_between("s0", "sw")
-        assert access.inner.rate.rate_at(0.0) > egress.inner.rate.rate_at(0.0)
+        assert access.rate.rate_at(0.0) > egress.rate.rate_at(0.0)
 
     def test_proxy_split_generic_knobs(self):
         topo = make_topology("proxy_split", bw_mbps=10.0, min_rtt=0.1,
                              buffer_bytes=50_000)
         wan = topo.link_between("snd", "proxy")
         lan = topo.link_between("proxy", "rcv")
-        assert wan.inner.rate.rate_at(0.0) == pytest.approx(10e6)
-        assert lan.inner.rate.rate_at(0.0) == pytest.approx(40e6)
+        assert wan.rate.rate_at(0.0) == pytest.approx(10e6)
+        assert lan.rate.rate_at(0.0) == pytest.approx(40e6)
         assert wan.prop_delay + lan.prop_delay == pytest.approx(0.05)
 
 

@@ -17,6 +17,7 @@ from repro.core.networks import NetworkConfig, SagePolicy
 from repro.netsim.aqm import TailDrop
 from repro.netsim.topo import dumbbell_topology, parking_lot_topology
 from repro.netsim.traces import FlatRate
+from repro.serve.engine import ServeConfig
 from repro.serve.harness import WorkloadServeConfig, run_served_workload
 from repro.tcp.flow import Flow
 from repro.workload import (
@@ -373,8 +374,11 @@ class TestServedWorkload:
     def test_deterministic(self):
         cfg = WorkloadServeConfig(arrival_rate=60.0, duration=1.0,
                                   drain=2.0, seed=7)
-        a = run_served_workload(self._policy(), cfg)
-        b = run_served_workload(self._policy(), cfg)
+        # no inference deadline: a wall-clock stall must not turn a fresh
+        # decision stale in one run and not the other
+        sc = ServeConfig(tick_interval=cfg.tick, tick_budget=None)
+        a = run_served_workload(self._policy(), cfg, serve_config=sc)
+        b = run_served_workload(self._policy(), cfg, serve_config=sc)
         assert a.metrics["fct"] == b.metrics["fct"]
         assert a.fct.to_json() == b.fct.to_json()
 
