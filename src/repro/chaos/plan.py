@@ -109,11 +109,6 @@ class FaultSpec:
         if self.target < 0:
             raise ValueError(f"fault target must be >= 0, got {self.target}")
 
-    @property
-    def group(self) -> str:
-        """The subsystem half of the site (``collector``, ``train``, ...)."""
-        return self.site.split(".", 1)[0]
-
     def to_json(self) -> Dict:
         return {"site": self.site, "target": self.target, "param": self.param}
 
@@ -195,9 +190,6 @@ class FaultPlan:
         return cls(seed=seed, faults=faults)
 
     # ------------------------------------------------------------------
-    def by_site(self, site: str) -> List[FaultSpec]:
-        return [f for f in self.faults if f.site == site]
-
     def __len__(self) -> int:
         return len(self.faults)
 

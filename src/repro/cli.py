@@ -100,8 +100,7 @@ def _cmd_train(args) -> int:
     run = train_sage_on_pool(
         pool, n_steps=args.steps, n_checkpoints=args.checkpoints,
         net_config=net, crr_config=CRRConfig(), seed=args.seed,
-        log_every=args.log_every, prefetch=args.prefetch,
-        sampler_workers=args.workers, grad_workers=args.grad_workers,
+        log_every=args.log_every, grad_workers=args.grad_workers,
     )
     run.agent.save(args.out)
     print(f"trained {run.trainer.steps_done} steps; saved policy to {args.out}")
@@ -118,8 +117,10 @@ def _load_agent(path: str, enc_dim: int, gru_dim: int, components: int, atoms: i
     return SageAgent.load(path, net_config=cfg)
 
 
-def _cmd_league(args) -> int:
-    from repro.evalx.leagues import Participant, run_league
+def _participants(args) -> list:
+    """``--schemes`` as kernel entrants, plus ``--agent`` (served with
+    ``--serve``) when given."""
+    from repro.evalx.leagues import Participant
 
     participants = [
         Participant.from_scheme(s) for s in args.schemes.split(",") if s
@@ -132,7 +133,13 @@ def _cmd_league(args) -> int:
             participants.append(Participant.from_served(agent.policy))
         else:
             participants.append(Participant.from_agent(agent))
-    result = run_league(participants, workers=args.workers)
+    return participants
+
+
+def _cmd_league(args) -> int:
+    from repro.evalx.leagues import run_league
+
+    result = run_league(_participants(args), workers=args.workers)
     print(result.format_table())
     return 0
 
@@ -392,32 +399,14 @@ def _cmd_topo_describe(args) -> int:
     return 0
 
 
-def _cmd_topo_matrix(args) -> int:
-    from repro.evalx.leagues import Participant
-    from repro.evalx.topo_matrix import run_topology_matrix
-    from repro.netsim.topo import TOPOLOGY_CLASSES
+def _run_matrix(args, columns) -> int:
+    from repro.evalx.matrix import run_matrix
 
-    classes = (
-        tuple(c for c in args.classes.split(",") if c)
-        if args.classes else TOPOLOGY_CLASSES
-    )
-    participants = [
-        Participant.from_scheme(s) for s in args.schemes.split(",") if s
-    ]
-    if args.agent:
-        agent = _load_agent(
-            args.agent, args.enc_dim, args.gru_dim, args.components, args.atoms
-        )
-        if args.serve:
-            participants.append(Participant.from_served(agent.policy))
-        else:
-            participants.append(Participant.from_agent(agent))
-    matrix = run_topology_matrix(
-        participants,
-        classes=classes,
-        duration=args.duration,
+    matrix = run_matrix(
+        _participants(args),
+        columns,
         workers=args.workers,
-        progress=(lambda msg: print(msg)) if args.verbose else None,
+        progress=print if args.verbose else None,
     )
     print(matrix.format_table())
     if args.out:
@@ -426,9 +415,19 @@ def _cmd_topo_matrix(args) -> int:
     return 0
 
 
+def _cmd_topo_matrix(args) -> int:
+    from repro.evalx.matrix import topology_columns
+    from repro.netsim.topo import TOPOLOGY_CLASSES
+
+    classes = (
+        tuple(c for c in args.classes.split(",") if c)
+        if args.classes else TOPOLOGY_CLASSES
+    )
+    return _run_matrix(args, topology_columns(classes, duration=args.duration))
+
+
 def _cmd_aqm_matrix(args) -> int:
-    from repro.evalx.aqm_matrix import DEFAULT_MATRIX_AQMS, run_aqm_matrix
-    from repro.evalx.leagues import Participant
+    from repro.evalx.matrix import DEFAULT_MATRIX_AQMS, aqm_columns
 
     aqms = (
         tuple(a for a in args.aqms.split(",") if a)
@@ -440,30 +439,10 @@ def _cmd_aqm_matrix(args) -> int:
             f"learned_ecn@{args.ecn_model}" if a == "learned_ecn" else a
             for a in aqms
         )
-    participants = [
-        Participant.from_scheme(s) for s in args.schemes.split(",") if s
-    ]
-    if args.agent:
-        agent = _load_agent(
-            args.agent, args.enc_dim, args.gru_dim, args.components, args.atoms
-        )
-        if args.serve:
-            participants.append(Participant.from_served(agent.policy))
-        else:
-            participants.append(Participant.from_agent(agent))
-    matrix = run_aqm_matrix(
-        participants,
-        aqms=aqms,
-        duration=args.duration,
-        workers=args.workers,
-        ecn_threshold_bdp=args.ecn_bdp,
-        progress=(lambda msg: print(msg)) if args.verbose else None,
+    columns = aqm_columns(
+        aqms, duration=args.duration, ecn_threshold_bdp=args.ecn_bdp
     )
-    print(matrix.format_table())
-    if args.out:
-        matrix.save(args.out)
-        print(f"saved matrix to {args.out}")
-    return 0
+    return _run_matrix(args, columns)
 
 
 def _cmd_aqm_trace(args) -> int:
@@ -566,11 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log-every", type=int, default=0, dest="log_every")
     p.add_argument("--out", default="sage.npz")
-    p.add_argument("--prefetch", type=int, default=0,
-                   help="batches prepared ahead by the sampler "
-                        "(0 = synchronous, legacy-identical RNG stream)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="sampler threads when --prefetch > 0")
     p.add_argument("--grad-workers", type=int, default=0, dest="grad_workers",
                    help="data-parallel gradient worker processes "
                         "(0 = single-process; results are bit-identical "
@@ -777,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--serve", action="store_true",
                    help="run the agent through the serving engine")
     q.add_argument("--out", default="",
-                   help="write the matrix JSON here (the CI artifact)")
+                   help="write the matrix JSON here")
     q.add_argument("--verbose", action="store_true")
     _add_workers_arg(q)
     _add_net_args(q)
@@ -811,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--serve", action="store_true",
                    help="run the agent through the serving engine")
     q.add_argument("--out", default="",
-                   help="write the matrix JSON here (the CI artifact)")
+                   help="write the matrix JSON here")
     q.add_argument("--verbose", action="store_true")
     _add_workers_arg(q)
     _add_net_args(q)

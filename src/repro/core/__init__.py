@@ -19,7 +19,6 @@ from repro.core.agent import SageAgent
 from repro.core.training import (
     TrainingRun,
     collect_pool,
-    train_sage,
     train_sage_on_pool,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "SageAgent",
     "TrainingRun",
     "collect_pool",
-    "train_sage",
     "train_sage_on_pool",
 ]

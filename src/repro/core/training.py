@@ -137,8 +137,6 @@ def train_sage_on_pool(
     crr_config: Optional[CRRConfig] = None,
     seed: int = 0,
     log_every: int = 0,
-    prefetch: int = 0,
-    sampler_workers: int = 1,
     grad_workers: int = 0,
     chaos=None,
     guard=None,
@@ -148,13 +146,10 @@ def train_sage_on_pool(
     ``n_checkpoints`` evenly-spaced snapshots stand in for the paper's seven
     daily checkpoints in Fig. 7.
 
-    Training runs on the fused :class:`~repro.train.engine.FastCRRTrainer`.
-    With the default ``prefetch=0`` it consumes the *same RNG stream* as the
-    per-timestep reference :class:`CRRTrainer`, so the sampled batches and
-    drawn actions are identical and the learning curves agree to float
-    rounding. ``prefetch>0`` overlaps batch assembly with the optimizer on
-    ``sampler_workers`` threads (deterministic, but a different — still
-    seed-reproducible — batch order; see :mod:`repro.train.sampler`).
+    Training runs on the fused :class:`~repro.train.engine.FastCRRTrainer`,
+    which consumes the *same RNG stream* as the per-timestep reference
+    :class:`CRRTrainer`, so the sampled batches and drawn actions are
+    identical and the learning curves agree to float rounding.
 
     ``grad_workers > 0`` trains through N data-parallel gradient processes
     — the :class:`~repro.train.parallel.DataParallelTrainer`. Results are
@@ -163,15 +158,10 @@ def train_sage_on_pool(
     """
     if n_steps < n_checkpoints:
         raise ValueError("need at least one step per checkpoint")
-    if grad_workers > 0 and prefetch:
-        raise ValueError(
-            "grad_workers and prefetch are mutually exclusive: the "
-            "data-parallel engine samples inside its worker processes"
-        )
     if grad_workers > 0:
         from repro.train.parallel import DataParallelTrainer
 
-        trainer: CRRTrainer = DataParallelTrainer(
+        trainer = DataParallelTrainer(
             pool,
             net_config=net_config,
             config=crr_config,
@@ -187,8 +177,6 @@ def train_sage_on_pool(
             net_config=net_config,
             config=crr_config,
             seed=seed,
-            prefetch=prefetch,
-            sampler_workers=sampler_workers,
             chaos=chaos,
         )
     run = TrainingRun(
@@ -204,28 +192,8 @@ def train_sage_on_pool(
     # (a second full copy of every trajectory for an in-memory pool, open
     # shard handles for a sharded one) rather than pinning either for the
     # process lifetime
-    if hasattr(trainer, "close"):
-        trainer.close()
+    trainer.close()
     if hasattr(pool, "drop_cache"):
         pool.drop_cache()
     return run
 
-
-def train_sage(
-    scale: str = "mini",
-    n_steps: int = 300,
-    schemes: Optional[Sequence[str]] = None,
-    net_config: Optional[NetworkConfig] = None,
-    crr_config: Optional[CRRConfig] = None,
-    seed: int = 0,
-    workers: int = 1,
-) -> TrainingRun:
-    """Convenience wrapper: collect a pool at ``scale`` and train on it."""
-    pool = collect_pool(training_environments(scale), schemes=schemes, workers=workers)
-    return train_sage_on_pool(
-        pool,
-        n_steps=n_steps,
-        net_config=net_config,
-        crr_config=crr_config,
-        seed=seed,
-    )

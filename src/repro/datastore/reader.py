@@ -10,8 +10,8 @@ warm without ever holding more than ``max_open_shards`` files open.
 Sampling is **bit-identical** to the in-memory pool: both draw window
 positions through :func:`repro.collector.pool.draw_window_starts` (one
 shared RNG stream over the same trajectory ordering), and the gathered rows
-are byte-for-byte what the writer stored. ``train_sage_on_pool`` and
-``SequenceSampler`` therefore accept either pool interchangeably.
+are byte-for-byte what the writer stored. ``train_sage_on_pool`` and the
+CRR trainers therefore accept either pool interchangeably.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@
   Appendix D).
 - :mod:`~repro.evalx.leagues` — run a league of participants (kernel schemes
   and/or learned agents) over Set I / Set II and rank by winning rate
-  (Figs. 1, 7, 9, 10, 20, 21; Tables 2, 3).
+  (Figs. 1, 7, 9, 10, 20, 21; Tables 2, 3). Its :func:`play` is the one
+  run loop every evaluator below shares, serial or over worker processes.
 - :mod:`~repro.evalx.internet` — simulated GENI/AWS Internet paths and
   cellular-trace evaluations (Fig. 8, Fig. 26, Table 4).
+- :mod:`~repro.evalx.matrix` — winning-rate matrices, scheme x topology
+  class and scheme x AQM (``repro topo matrix`` / ``repro aqm matrix``).
 - :mod:`~repro.evalx.similarity` — trajectory Distance CDFs (Fig. 11) and
   Similarity Indices (Fig. 13).
 - :mod:`~repro.evalx.tsne` — minimal exact t-SNE (Fig. 16).
@@ -26,6 +29,7 @@ from repro.evalx.scores import (
 from repro.evalx.leagues import (
     Participant,
     LeagueResult,
+    play,
     run_league,
     run_participant,
     HEURISTIC_LEAGUE,
@@ -54,10 +58,11 @@ from repro.evalx.dynamics import (
     frontier_experiment,
     MultiFlowResult,
 )
-from repro.evalx.topo_matrix import (
-    DEFAULT_MATRIX_SCHEMES,
-    TopologyMatrix,
-    run_topology_matrix,
+from repro.evalx.matrix import (
+    WinningMatrix,
+    aqm_columns,
+    run_matrix,
+    topology_columns,
 )
 from repro.evalx.tsne import tsne
 from repro.evalx.plotting import ascii_scatter, ascii_timeseries, plot_flow_throughput
@@ -72,6 +77,7 @@ __all__ = [
     "ScoreEntry",
     "Participant",
     "LeagueResult",
+    "play",
     "run_league",
     "run_participant",
     "HEURISTIC_LEAGUE",
@@ -93,9 +99,10 @@ __all__ = [
     "aqm_experiment",
     "frontier_experiment",
     "MultiFlowResult",
-    "DEFAULT_MATRIX_SCHEMES",
-    "TopologyMatrix",
-    "run_topology_matrix",
+    "WinningMatrix",
+    "aqm_columns",
+    "run_matrix",
+    "topology_columns",
     "tsne",
     "ascii_scatter",
     "ascii_timeseries",

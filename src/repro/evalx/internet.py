@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.collector.environments import EnvConfig
-from repro.evalx.leagues import Participant, _run_matches, run_participant
+from repro.evalx.leagues import Participant, play
 
 #: Table 4 (left): GENI servers used for intra-continental experiments.
 GENI_SERVERS = [
@@ -151,27 +151,19 @@ def evaluate_paths(
 ) -> InternetReport:
     """Run every participant over every path and normalize per path.
 
-    ``workers`` fans the (participant, path) rollouts across processes via
-    the parallel collector engine; per-path normalization happens after all
-    of a path's participants have finished, so results are independent of
-    scheduling.
+    ``workers`` fans the (participant, path) rollouts across processes
+    (see :func:`~repro.evalx.leagues.play`); per-path normalization happens
+    after all of a path's participants have finished, so results are
+    independent of scheduling.
     """
     thr: Dict[str, List[float]] = {p.name: [] for p in participants}
     dly: Dict[str, List[float]] = {p.name: [] for p in participants}
     p95: Dict[str, List[float]] = {p.name: [] for p in participants}
-    if workers is None or workers != 1:
-        rollouts = _run_matches(participants, envs, tick, workers, progress)
-        rollout_iter = iter(rollouts)
-    for env in envs:
+    results = iter(play(participants, envs, tick, workers, progress))
+    for _ in envs:
         per_path = {}
         for p in participants:
-            if workers is None or workers != 1:
-                result = next(rollout_iter)
-            else:
-                result = run_participant(p, env, tick=tick)
-                if progress is not None:
-                    progress(f"{p.name} on {env.env_id}")
-            s = result.stats
+            s = next(results).stats
             per_path[p.name] = (
                 s.avg_throughput_bps,
                 max(s.avg_owd, 1e-4),

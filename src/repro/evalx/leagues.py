@@ -4,7 +4,8 @@ A *participant* is either a kernel scheme (by registry name) or a learned
 agent (anything satisfying the PolicyAgent protocol). The league runner
 plays every participant through every environment, scores each
 scenario-interval, and reports winning rates — the machinery behind
-Figs. 1, 7, 9, 10, 20/21 and Tables 2/3.
+Figs. 1, 7, 9, 10, 20/21 and Tables 2/3. Its run loop, :func:`play`, is
+also the one behind the path evaluation and the winning matrices.
 """
 
 from __future__ import annotations
@@ -127,23 +128,35 @@ def _run_league_task(task: LeagueTask) -> RolloutResult:
     return run_participant(task.participant, task.env, tick=task.tick)
 
 
-def _run_matches(
+def play(
     participants: Sequence[Participant],
     envs: Sequence[EnvConfig],
-    tick: float,
-    workers: Optional[int],
-    progress,
-    base_seed: int = 0,
+    tick: float = 0.02,
+    workers: Optional[int] = 1,
+    progress=None,
 ) -> List[RolloutResult]:
-    """Every participant through every env, fanned across workers."""
+    """Every participant through every env, env-major and participant-minor.
+
+    The one run loop of the league, the path evaluation and the winning
+    matrices. ``workers == 1`` plays in-process in that order, on each
+    agent's own RNG (a stochastic agent's stream runs on from rollout to
+    rollout), calling ``progress("<name> on <env_id>")`` after each
+    rollout. Otherwise the rollouts fan out over the parallel task engine
+    (``None`` = one process per CPU) and each agent is reseeded per task,
+    so the results are the same for any worker count; kernel schemes carry
+    no RNG and match the serial path bit for bit. Results come back in
+    the serial order either way.
+    """
+    if workers == 1:
+        results = []
+        for env in envs:
+            for p in participants:
+                results.append(run_participant(p, env, tick=tick))
+                if progress is not None:
+                    progress(f"{p.name} on {env.env_id}")
+        return results
     tasks = [
-        LeagueTask(
-            index=i,
-            participant=p,
-            env=env,
-            tick=tick,
-            seed=derive_seed(base_seed, i),
-        )
+        LeagueTask(index=i, participant=p, env=env, tick=tick, seed=derive_seed(0, i))
         for i, (env, p) in enumerate(
             (env, p) for env in envs for p in participants
         )
@@ -171,11 +184,10 @@ def run_league(
 ) -> LeagueResult:
     """Run the full league and compute winning rates for both sets.
 
-    ``workers`` fans the (participant, env) rollouts across processes.
-    Kernel-scheme results are bit-identical to the serial runner; agent
-    rollouts reseed the agent's RNG per task, so parallel leagues are
-    deterministic for any worker count (but stochastic agents draw a
-    different — equally valid — action sequence than the serial path).
+    ``workers`` fans the (participant, env) rollouts across processes
+    (see :func:`play`): stochastic agents then draw a different — equally
+    valid, and worker-count independent — action sequence than the
+    serial path.
     """
     if set1 is None:
         set1 = set1_environments(
@@ -186,26 +198,15 @@ def run_league(
         set2 = set2_environments(
             bws=(24.0, 48.0), rtts=(0.02, 0.06), buffers=(2.0, 8.0), duration=16.0,
         )
-    set1_entries: List[ScoreEntry] = []
-    set2_entries: List[ScoreEntry] = []
-    if workers is not None and workers == 1:
-        for env_list, sink in ((set1, set1_entries), (set2, set2_entries)):
-            for env in env_list:
-                for p in participants:
-                    result = run_participant(p, env, tick=tick)
-                    sink.extend(
-                        interval_scores(result, alpha=alpha, n_intervals=n_intervals)
-                    )
-                    if progress is not None:
-                        progress(f"{p.name} on {env.env_id}")
-    else:
-        for env_list, sink in ((set1, set1_entries), (set2, set2_entries)):
-            for result in _run_matches(
-                participants, env_list, tick, workers, progress
-            ):
-                sink.extend(
-                    interval_scores(result, alpha=alpha, n_intervals=n_intervals)
-                )
+
+    def scored(envs: Sequence[EnvConfig]) -> List[ScoreEntry]:
+        return [
+            entry
+            for result in play(participants, envs, tick, workers, progress)
+            for entry in interval_scores(result, alpha=alpha, n_intervals=n_intervals)
+        ]
+
+    set1_entries, set2_entries = scored(set1), scored(set2)
     return LeagueResult(
         set1_rates=winning_rates(set1_entries, margin=margin),
         set2_rates=winning_rates(set2_entries, margin=margin),

@@ -38,7 +38,6 @@ from repro.netsim.aqm import (
     BoDe,
     FQCoDel,
     LearnedECN,
-    aqm_names,
     make_aqm,
 )
 from repro.netsim.ecn_model import EcnPredictor
@@ -83,7 +82,6 @@ __all__ = [
     "ECN_CAPABLE_AQMS",
     "EcnPredictor",
     "QueueTelemetryRecorder",
-    "aqm_names",
     "make_aqm",
     "RateProcess",
     "FlatRate",

@@ -95,11 +95,6 @@ class TailDrop(AQM):
             raise ValueError("ECN threshold must be positive")
         self.ecn_threshold_bytes = ecn_threshold_bytes
 
-    @property
-    def ce_marks(self) -> int:
-        """Historical alias for :attr:`ecn_marks` (pre-subsystem name)."""
-        return self.ecn_marks
-
     def params(self) -> Dict[str, object]:
         if self.ecn_threshold_bytes is None:
             return {}
@@ -643,10 +638,3 @@ def make_aqm(name: str, capacity_bytes: int, **kwargs) -> AQM:
         raise ValueError(f"unknown AQM {name!r}; choose from {sorted(set(_AQM_REGISTRY))}")
     return _AQM_REGISTRY[key](capacity_bytes, **kwargs)
 
-
-def aqm_names() -> tuple:
-    """Canonical registry names (aliases collapsed), for CLI choices."""
-    seen = {}
-    for key, cls in _AQM_REGISTRY.items():
-        seen.setdefault(cls, key)
-    return tuple(sorted(seen.values()))

@@ -439,9 +439,6 @@ class Topology:
         if self._routes.pop(flow_id, None) is None:
             raise ValueError(f"flow {flow_id} is not attached")
 
-    def is_attached(self, flow_id: int) -> bool:
-        return flow_id in self._routes
-
     @property
     def n_flows(self) -> int:
         return len(self._routes)
@@ -488,13 +485,6 @@ class Topology:
         route = self._require(flow_id)
         fwd = self.path_prop_delay(flow_id) + route.path.extra_fwd_delay
         return fwd + route.path.rev_delay
-
-    def flow_links(self, flow_id: int) -> List[TopoLink]:
-        return list(self._require(flow_id).links)
-
-    def queue_delay_on_path(self, flow_id: int) -> float:
-        """Current total standing queueing delay along the flow's path."""
-        return sum(l.queue_delay() for l in self._require(flow_id).links)
 
     def _require(self, flow_id: int) -> _FlowRoute:
         route = self._routes.get(flow_id)
@@ -640,14 +630,6 @@ class PathView:
         """Propagation round trip: ``PathConfig.min_rtt`` unless the links
         alone take longer."""
         return self.topology.min_rtt(flow_id)
-
-    @property
-    def queue_delay(self) -> float:
-        """Standing queueing delay along this view's path."""
-        return sum(
-            self.topology.link_between(u, v).queue_delay()
-            for u, v in zip(self.nodes, self.nodes[1:])
-        )
 
     @property
     def dropped_by_flow(self) -> Dict[int, int]:

@@ -124,10 +124,6 @@ class DistributionalHead(Module):
         probs = self.logits(h).softmax(axis=-1)
         return (probs * Tensor(self.atoms)).sum(axis=-1)
 
-    def expected_value_np(self, h: Tensor) -> np.ndarray:
-        with no_grad():
-            return self.expected_value(h).data
-
     def project_target(
         self, rewards: np.ndarray, gamma: float, next_probs: np.ndarray
     ) -> np.ndarray:

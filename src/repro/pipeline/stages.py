@@ -333,7 +333,7 @@ def _stage_train(ctx: Dict) -> Dict:
     """Offline CRR under the DivergenceGuard, checkpointing atomically.
 
     A valid checkpoint from an interrupted run resumes mid-stream (the
-    checkpoint carries the RNG and sampler position, so the continuation
+    checkpoint carries the RNG and batch index, so the continuation
     is bit-identical to an uninterrupted run); a corrupt one is discarded
     and training restarts from scratch.
     """

@@ -11,17 +11,16 @@ throughput:
   through the fused ``(L*B, ·)`` autograd path
   (``features_seq_fused`` / ``recurrent_seq_fused``): one graph over all
   timesteps instead of ``L`` per-timestep subgraphs.
-- **Prefetched batches.** A :class:`~repro.train.sampler.SequenceSampler`
-  optionally prepares batches on worker threads.
 
-Equivalence contract (vs the legacy engine, ``prefetch=0``, same seed):
-every RNG draw happens in the same order on the same generator — pool
-sampling, then per-timestep target-action draws, then the ``t``-major
-``m_samples`` filter draws — so the random *streams* are bit-identical.
-Floating-point values differ only by summation-order rounding (BLAS
-blocking on the larger fused matmuls, gate-weight splitting in the GRU),
-so ``critic_loss`` / ``policy_loss`` / ``mean_f`` trajectories track the
-legacy engine within accumulated float tolerance rather than bitwise; the
+Equivalence contract (vs the reference ``CRRTrainer``, same seed): batches
+are drawn by the inherited ``CRRTrainer._sample_batch`` and every RNG draw
+happens in the same order on the same generator — pool sampling, then
+per-timestep target-action draws, then the ``t``-major ``m_samples``
+filter draws — so the random *streams* are bit-identical. Floating-point
+values differ only by summation-order rounding (BLAS blocking on the
+larger fused matmuls, gate-weight splitting in the GRU), so
+``critic_loss`` / ``policy_loss`` / ``mean_f`` trajectories track the
+reference engine within accumulated float tolerance rather than bitwise; the
 only mechanism that could amplify a rounding difference is a sampled
 mixture component or binary-filter indicator flipping across the
 boundary, which at float64 has negligible probability per step. The
@@ -46,7 +45,6 @@ from repro.nn.functional import softmax_np
 from repro.nn.optim import clip_grad_norm
 from repro.persist import verify_sidecar, write_npz_atomic
 from repro.train import fastpath as fp
-from repro.train.sampler import SequenceSampler
 
 __all__ = ["FastCRRTrainer"]
 
@@ -58,13 +56,6 @@ class FastCRRTrainer(CRRTrainer):
 
     Extra parameters on top of :class:`CRRTrainer`:
 
-    ``prefetch``
-        Batches kept in flight by the sampler. ``0`` (default) keeps the
-        legacy bit-identical sampling order; ``>0`` switches to the
-        deterministic per-batch seed stream (see
-        :mod:`repro.train.sampler`).
-    ``sampler_workers``
-        Producer threads when ``prefetch > 0``.
     ``chaos``
         Optional :class:`~repro.chaos.inject.FaultInjector`; pending
         ``train.*`` faults (NaN / reward-spike batches) poison the matching
@@ -79,8 +70,6 @@ class FastCRRTrainer(CRRTrainer):
         config: Optional[CRRConfig] = None,
         seed: int = 0,
         state_mask: Optional[np.ndarray] = None,
-        prefetch: int = 0,
-        sampler_workers: int = 1,
         chaos=None,
         rss_soft_limit_mb: Optional[float] = None,
     ) -> None:
@@ -106,16 +95,9 @@ class FastCRRTrainer(CRRTrainer):
         #: decomposition), so resuming under a different one is refused.
         self.grad_workers = 0
         self.grad_grains = 0
-        self.sampler = SequenceSampler(
-            pool,
-            self.cfg.batch_size,
-            self.cfg.seq_len,
-            rng=self.rng,
-            normalize=self._normalize,
-            prefetch=prefetch,
-            workers=sampler_workers,
-            seed=seed,
-        )
+        #: batches drawn so far: the index chaos batch faults target, and
+        #: checkpointed as ``meta/batch_index``
+        self.batch_index = 0
         #: cumulative seconds per train-step phase, since construction
         self.phase_seconds: Dict[str, float] = {k: 0.0 for k in _PHASES}
         self._train_seconds = 0.0
@@ -136,8 +118,9 @@ class FastCRRTrainer(CRRTrainer):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop sampler worker threads (no-op for ``prefetch=0``)."""
-        self.sampler.close()
+        """Release worker resources: nothing in this single-process engine;
+        :class:`~repro.train.parallel.DataParallelTrainer` stops its
+        gradient processes."""
 
     def timing_summary(self) -> Dict[str, float]:
         """Steps/sec plus the per-phase second totals."""
@@ -185,7 +168,7 @@ class FastCRRTrainer(CRRTrainer):
         t1 = time.perf_counter()
 
         # ---- targets (raw numpy, no graph) ----------------------------
-        # Same RNG order as the legacy per-t loop: actions for timestep t
+        # Same RNG order as the reference per-t loop: actions for timestep t
         # are drawn before timestep t+1's. The mixture CDF is precomputed
         # for all rows at once (consumes no RNG).
         p_tpol = fp.params_of(self.target_policy)
@@ -217,7 +200,7 @@ class FastCRRTrainer(CRRTrainer):
         # ---- policy evaluation (critic loss, Eq. 5) -------------------
         rec = self.critic.recurrent_seq_fused(ctx["states"])
         feats = self.critic.q_features(rec, ctx["log_a_flat"])
-        # flat mean over L*B rows == legacy mean of per-t means (equal B)
+        # flat mean over L*B rows == reference mean of per-t means (equal B)
         critic_loss = self.critic.head.cross_entropy(feats, target_probs)
         self.opt_critic.zero_grad()
         critic_loss.backward()
@@ -251,7 +234,7 @@ class FastCRRTrainer(CRRTrainer):
         pcdf = fp.gmm_cdf(plog)
         p_crit = fp.params_of(self.critic)
         rec_np = fp.critic_recurrent_seq(self.critic, states, bufs, "crit", p=p_crit)
-        # legacy draw order: t outer, j in m_samples inner
+        # reference draw order: t outer, j in m_samples inner
         m = cfg.m_samples
         a_samp = np.empty((m, n))
         for t in range(l):
@@ -306,11 +289,11 @@ class FastCRRTrainer(CRRTrainer):
         """One fused policy-evaluation + policy-improvement iteration."""
         cfg = self.cfg
         t0 = time.perf_counter()
-        batch = self.sampler.next_batch()
+        batch = self._sample_batch()
+        self.batch_index += 1
         if self._chaos is not None:
-            # next_batch() pre-increments, so the batch just drawn is
-            # batch_index - 1; sampled arrays are copies, mutation is safe
-            self._chaos.mutate_batch(self.sampler.batch_index - 1, batch)
+            # sampled arrays are copies, mutation is safe
+            self._chaos.mutate_batch(self.batch_index - 1, batch)
         ctx = self._batch_context(batch)
         self.phase_seconds["sample"] += time.perf_counter() - t0
 
@@ -394,7 +377,7 @@ class FastCRRTrainer(CRRTrainer):
                 )
                 if event is not None:
                     # the poisoned step is gone: parameters, optimizer
-                    # moments, RNG, sampler position, history all rewind
+                    # moments, RNG, batch index, history all rewind
                     self.restore_state(snapshot)
                     continue
             else:
@@ -420,8 +403,8 @@ class FastCRRTrainer(CRRTrainer):
 
     # ------------------------------------------------------------------
     # Checkpointing: everything needed to resume a run mid-stream —
-    # all four networks, both Adam states, the RNG stream, the sampler
-    # position, and the metric history — in one stored .npz. The same
+    # all four networks, both Adam states, the RNG stream, the batch
+    # index, and the metric history — in one stored .npz. The same
     # payload doubles as the in-memory snapshot the DivergenceGuard
     # rollback restores.
     def _state_payload(self) -> Dict[str, np.ndarray]:
@@ -443,9 +426,7 @@ class FastCRRTrainer(CRRTrainer):
         payload["meta/steps_done"] = np.array([self.steps_done], dtype=np.int64)
         payload["meta/grad_workers"] = np.array([self.grad_workers], dtype=np.int64)
         payload["meta/grad_grains"] = np.array([self.grad_grains], dtype=np.int64)
-        payload["meta/batch_index"] = np.array(
-            [self.sampler.batch_index], dtype=np.int64
-        )
+        payload["meta/batch_index"] = np.array([self.batch_index], dtype=np.int64)
         payload["meta/rng_state"] = np.array(
             json.dumps(self.rng.bit_generator.state)
         )
@@ -496,7 +477,7 @@ class FastCRRTrainer(CRRTrainer):
                 opt._v[i] = data[f"{prefix}/v{i}"].copy()
         self.steps_done = int(data["meta/steps_done"][0])
         self.rng.bit_generator.state = json.loads(str(data["meta/rng_state"]))
-        self.sampler.seek(int(data["meta/batch_index"][0]))
+        self.batch_index = int(data["meta/batch_index"][0])
         for key in self.history:
             hk = f"meta/history/{key}"
             if hk in keys:  # absent in pre-resilience checkpoints

@@ -16,7 +16,7 @@ poisoned numbers crashed the training step with a numeric exception before
 any metrics existed (e.g. NaN rewards breaking the C51 projection).
 
 On detection the training engine restores its last good snapshot —
-networks, optimizer moments, RNG state, sampler position, metric history —
+networks, optimizer moments, RNG state, batch index, metric history —
 and replays from there. Because injected faults are one-shot and real
 poisoned batches are consumed by the failed step, the replay runs clean
 and the final parameters are bit-identical to a run that never saw the
@@ -28,7 +28,7 @@ divergent run from cycling forever: exhausting it raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -186,16 +186,3 @@ class DivergenceGuard:
             )
         self.events.append(problem)
         return problem
-
-    # ------------------------------------------------------------------
-    def describe(self) -> List[Dict[str, object]]:
-        """The rollback history as plain dicts (for status reports)."""
-        return [
-            {
-                "step": e.step,
-                "reason": e.reason,
-                "detail": e.detail,
-                "restored_step": e.restored_step,
-            }
-            for e in self.events
-        ]

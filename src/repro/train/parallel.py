@@ -278,7 +278,7 @@ class DataParallelTrainer(FastCRRTrainer):
     and RNG streams. Call :meth:`close` when done (the ``train_sage_on_
     pool`` / pipeline entry points do).
 
-    The parent's own ``rng`` / sampler are never consumed — sampling
+    The parent's own ``rng`` is never consumed — sampling
     happens in the workers on per-(step, grain) generators — so the RNG
     stream *differs* from the single-process engine's interleaved stream:
     ``grad_workers >= 1`` is a different (still seed-deterministic)
@@ -312,10 +312,7 @@ class DataParallelTrainer(FastCRRTrainer):
             )
         # the parent's chaos hooks are the parallel-specific ones
         # (train.workercrash); batch faults fire inside the workers
-        super().__init__(
-            pool, net_config, cfg, seed, state_mask, prefetch=0,
-            sampler_workers=1, chaos=None,
-        )
+        super().__init__(pool, net_config, cfg, seed, state_mask, chaos=None)
         self.grad_workers = int(grad_workers)
         self.grad_grains = int(grains)
         self._parent_chaos = chaos

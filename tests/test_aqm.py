@@ -215,12 +215,6 @@ class TestEcnCounters:
         q.enqueue(pkt(1), 0.0)
         assert q.ecn_marks == 0
 
-    def test_ce_marks_alias(self):
-        q = TailDrop(capacity_bytes=30_000, ecn_threshold_bytes=1500)
-        q.enqueue(pkt(0, ect=True), 0.0)
-        q.enqueue(pkt(1, ect=True), 0.0)
-        assert q.ce_marks == q.ecn_marks == 1
-
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             TailDrop(30_000, ecn_threshold_bytes=0)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.collector.environments import EnvConfig, aqm_environments, build_network
-from repro.evalx.aqm_matrix import DEFAULT_MATRIX_AQMS, AqmMatrix, run_aqm_matrix
+from repro.evalx.matrix import DEFAULT_MATRIX_AQMS, aqm_columns, run_matrix
 from repro.evalx.leagues import Participant
 from repro.netsim.aqm import FQCoDel, LearnedECN, TailDrop
 
@@ -75,22 +75,21 @@ class TestBuildNetworkAqm:
 class TestAqmMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
-        return run_aqm_matrix(
+        return run_matrix(
             [Participant.from_scheme("cubic"), Participant.from_scheme("vegas")],
-            aqms=("taildrop", "fq_codel"),
-            duration=2.0,
+            aqm_columns(("taildrop", "fq_codel"), duration=2.0),
             n_intervals=2,
         )
 
     def test_matrix_covers_grid(self, matrix):
-        assert matrix.aqms == ["taildrop", "fq_codel"]
+        assert matrix.columns == ["taildrop", "fq_codel"]
         assert sorted(matrix.participants) == ["cubic", "vegas"]
         for per_aqm in matrix.rates.values():
             for rate in per_aqm.values():
                 assert 0.0 <= rate <= 1.0
 
     def test_entries_collected_per_column(self, matrix):
-        assert all(len(matrix.entries[a]) > 0 for a in matrix.aqms)
+        assert all(len(matrix.entries[a]) > 0 for a in matrix.columns)
 
     def test_format_table_lists_everything(self, matrix):
         table = matrix.format_table()
@@ -101,8 +100,8 @@ class TestAqmMatrix:
         path = tmp_path / "out" / "aqm_matrix.json"
         matrix.save(path)
         loaded = json.loads(path.read_text())
-        assert loaded["schema_version"] == 1
-        assert loaded["aqms"] == matrix.aqms
+        assert loaded["schema_version"] == 2
+        assert loaded["columns"] == matrix.columns
         assert set(loaded["rates"]) == set(matrix.rates)
         assert set(loaded["ecn_marks"]) == set(matrix.rates)
 
@@ -112,8 +111,9 @@ class TestAqmMatrix:
 
     def test_empty_aqm_list_rejected(self):
         with pytest.raises(ValueError):
-            run_aqm_matrix([Participant.from_scheme("cubic")], aqms=())
+            aqm_columns(())
 
     def test_checkpoint_column_label_strips_suffix(self):
-        m = AqmMatrix(rates={"learned_ecn": {"cubic": 1.0}})
-        assert m.aqms == ["learned_ecn"]
+        columns = aqm_columns(("taildrop", "learned_ecn@/tmp/model.npz"))
+        assert list(columns) == ["taildrop", "learned_ecn"]
+        assert columns["learned_ecn"][0].aqm == "learned_ecn@/tmp/model.npz"

@@ -167,7 +167,8 @@ class TestTopoCli:
         assert "dumbbell" in out and "proxy_split" in out
         import json
         saved = json.loads((tmp_path / "matrix.json").read_text())
-        assert saved["schema_version"] == 1
+        assert saved["schema_version"] == 2
+        assert saved["columns"] == ["dumbbell", "proxy_split"]
         assert set(saved["rates"]) == {"dumbbell", "proxy_split"}
         for per_class in saved["rates"].values():
             assert set(per_class) == {"cubic", "vegas"}
@@ -214,7 +215,7 @@ class TestAqmCli:
         assert args.aqm == "fq_codel" and args.ecn_kb == 30.0
 
     def test_trace_learn_matrix_loop(self, tmp_path, capsys):
-        """The aqm-smoke CI loop end to end at micro scale."""
+        """trace -> learn -> matrix with the learned queue, at micro scale."""
         traces = tmp_path / "traces"
         model = str(tmp_path / "ecn.npz")
         assert main([
@@ -235,4 +236,85 @@ class TestAqmCli:
         capsys.readouterr()
         import json
         saved = json.loads(out_path.read_text())
+        assert saved["columns"] == ["taildrop", "learned_ecn"]
         assert set(saved["rates"]) == {"taildrop", "learned_ecn"}
+
+
+class TestChaosPipelineCli:
+    def test_plan_run_status_resume(self, tmp_path, capsys):
+        """A fault-injected run, its status journal, and a resume that
+        rebuilds the run from the journal alone."""
+        import json
+
+        plan = str(tmp_path / "plan.json")
+        workdir = tmp_path / "run"
+        assert main([
+            "chaos", "plan", "--seed", "7",
+            "--faults", "collector.crash,collector.hang,datastore.bitflip,train.nan",
+            "--universes", "collector=4,datastore=1,train=6", "--out", plan,
+        ]) == 0
+        assert main([
+            "pipeline", "run", "--workdir", str(workdir), "--scale", "mini",
+            "--schemes", "cubic", "--steps", "6", "--eval-duration", "2.0",
+            "--fault-plan", plan,
+        ]) == 0
+        capsys.readouterr()
+
+        assert main(["pipeline", "status", "--workdir", str(workdir), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["complete"]
+        assert [s["status"] for s in status["stages"]] == ["done"] * 4
+        kinds = {f["kind"] for f in status["faults"]}
+        assert {"crash", "corrupt-shard", "store-repair", "train-step-failure"} <= kinds
+
+        # lose the checkpoint: resume takes the config (steps, seed, fault
+        # plan) from the journal, retrains, and lands on the same bytes
+        ckpt = workdir / "checkpoint.npz"
+        with np.load(ckpt) as data:
+            before = {k: data[k].copy() for k in data.files}
+        ckpt.unlink()
+        assert main(["pipeline", "resume", "--workdir", str(workdir)]) == 0
+        assert "pipeline complete" in capsys.readouterr().out
+        with np.load(ckpt) as data:
+            assert sorted(data.files) == sorted(before)
+            for k in data.files:
+                assert data[k].tobytes() == before[k].tobytes(), k
+        assert main(["pipeline", "status", "--workdir", str(workdir), "--json"]) == 0
+        attempts = {
+            s["name"]: s["attempts"]
+            for s in json.loads(capsys.readouterr().out)["stages"]
+        }
+        assert attempts["train"] == 2 and attempts["collect"] == 1
+
+
+class TestDistillCli:
+    NET = ["--enc-dim", "32", "--gru-dim", "32", "--atoms", "15"]
+
+    def test_fit_then_eval_pretrained(self, tmp_path, capsys):
+        from pathlib import Path
+
+        model = str(Path(__file__).resolve().parent.parent / "models" / "sage_pretrained.npz")
+        pool = str(tmp_path / "pool.npz")
+        tree = tmp_path / "tree.npz"
+        assert main([
+            "collect", "--scale", "mini", "--schemes", "cubic", "--out", pool,
+            "--workers", "1",
+        ]) == 0
+        assert main([
+            "distill", "fit", "--agent", model, "--pool", pool,
+            "--out", str(tree), "--max-depth", "8", "--coverage", "0.9",
+            "--rules", "5", *self.NET,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert tree.exists() and "rules (first 5 )" in out
+        assert main([
+            "distill", "eval", "--model", str(tree), "--agent", model,
+            "--pool", pool, *self.NET,
+        ]) == 0
+        report = dict(
+            line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        report = {k.strip(): float(v) for k, v in report.items()}
+        assert report["n_samples"] > 0
+        assert 0.5 < report["coverage"] <= 1.0
+        assert report["ratio_within_5pct"] > 0.5

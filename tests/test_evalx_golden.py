@@ -14,7 +14,10 @@ rollouts in env-major, participant-minor order; the parallel path reseeds
 the agent per task. Both orders are pinned, at ``workers=1`` and at
 ``workers=2``, along with the serial progress messages.
 
-All values were computed at commit 4d962f7. To re-record after an
+All values were computed at commit 4d962f7, through the separate
+``run_topology_matrix`` and ``run_aqm_matrix`` of that revision; when
+those folded into :func:`repro.evalx.matrix.run_matrix` only the two calls
+below changed, not a value. To re-record after an
 *intended* behaviour change, run this file as a script
 (``PYTHONPATH=src python tests/test_evalx_golden.py``) and paste its output.
 """
@@ -28,10 +31,9 @@ import pytest
 from repro.collector.environments import EnvConfig
 from repro.core.agent import SageAgent
 from repro.core.networks import NetworkConfig, SagePolicy
-from repro.evalx.aqm_matrix import run_aqm_matrix
 from repro.evalx.internet import evaluate_paths, intra_continental_envs
 from repro.evalx.leagues import Participant, run_league
-from repro.evalx.topo_matrix import run_topology_matrix
+from repro.evalx.matrix import aqm_columns, run_matrix, topology_columns
 
 TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=3, n_atoms=7)
 
@@ -52,10 +54,9 @@ def _entries(entries) -> dict:
 
 
 def topo_matrix_golden() -> dict:
-    matrix = run_topology_matrix(
+    matrix = run_matrix(
         [Participant.from_scheme("cubic"), Participant.from_scheme("vegas")],
-        classes=("dumbbell", "parking_lot"),
-        duration=2.0,
+        topology_columns(("dumbbell", "parking_lot"), duration=2.0),
         n_intervals=2,
     )
     return {
@@ -65,12 +66,12 @@ def topo_matrix_golden() -> dict:
 
 
 def aqm_matrix_golden() -> dict:
-    matrix = run_aqm_matrix(
+    matrix = run_matrix(
         [Participant.from_scheme("cubic"), Participant.from_scheme("dctcp")],
-        aqms=("taildrop", "codel", "learned_ecn"),
-        duration=2.0,
+        aqm_columns(
+            ("taildrop", "codel", "learned_ecn"), duration=2.0, ecn_threshold_bdp=0.5
+        ),
         n_intervals=2,
-        ecn_threshold_bdp=0.5,
     )
     return {
         col: {

@@ -45,12 +45,12 @@ def run_flow(scheme, bw=24e6, rtt=0.02, buf=120_000, ecn_k=None, dur=8.0):
 class TestEcnPlumbing:
     def test_non_ecn_flows_never_marked(self):
         flow, aqm = run_flow("cubic", ecn_k=30_000, dur=4.0)
-        assert aqm.ce_marks == 0
+        assert aqm.ecn_marks == 0
         assert flow.sender.ecn_ce_acks == 0
 
     def test_dctcp_gets_marked_and_reacts(self):
         flow, aqm = run_flow("dctcp", ecn_k=30_000, dur=6.0)
-        assert aqm.ce_marks > 0
+        assert aqm.ecn_marks > 0
         assert flow.sender.ecn_ce_acks > 0
 
     def test_ecn_threshold_validation(self):

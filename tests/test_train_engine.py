@@ -1,14 +1,12 @@
 """Tests for the fused training engine (repro.train).
 
-The load-bearing guarantee: with the same seed and ``prefetch=0``, the
-fused :class:`FastCRRTrainer` consumes the *identical RNG stream* as the
-legacy :class:`CRRTrainer` and its metric trajectories match within the
+The load-bearing guarantee: with the same seed, the fused
+:class:`FastCRRTrainer` consumes the *identical RNG stream* as the
+reference :class:`CRRTrainer` and its metric trajectories match within the
 pinned float tolerance (the fused path reorders float summations — BLAS
 blocking on the larger matmuls, GRU gate-weight splitting — but changes
 no math and no random draws).
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -18,12 +16,11 @@ from repro.collector.pool import PolicyPool, Trajectory
 from repro.core.crr import CRRConfig, CRRTrainer
 from repro.core.networks import NetworkConfig
 from repro.train.engine import FastCRRTrainer
-from repro.train.sampler import SequenceSampler
 
 TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=2, n_atoms=7)
 METRICS = ("critic_loss", "policy_loss", "mean_f")
 #: Max per-step relative difference allowed between the engines' metric
-#: trajectories (same seed, prefetch=0). Float drift is summation-order
+#: trajectories (same seed). Float drift is summation-order
 #: rounding only, so even accumulated over tens of steps it stays orders
 #: of magnitude below this.
 EQUIVALENCE_RTOL = 1e-6
@@ -53,7 +50,7 @@ def make_pair(seed=0, cfg=None, net=TINY, **fast_kw):
 
 
 class TestEquivalence:
-    """Fused vs legacy: same seed, prefetch=0, pinned tolerance."""
+    """Fused vs reference: same seed, pinned tolerance."""
 
     def test_single_step_tight(self):
         legacy, fast = make_pair(seed=3)
@@ -105,102 +102,11 @@ class TestEquivalence:
                 )
 
 
-class TestSampler:
-    def _pool(self, seed=0):
-        return synthetic_pool(np.random.default_rng(seed))
-
-    def test_prefetch0_bit_identical_to_direct_draws(self):
-        pool = self._pool()
-        rng1 = np.random.default_rng(11)
-        rng2 = np.random.default_rng(11)
-        sampler = SequenceSampler(pool, 4, 4, rng=rng1, prefetch=0)
-        for _ in range(5):
-            got = sampler.next_batch()
-            ref = pool.sample_sequences(4, 4, rng2)
-            for key in ref:
-                np.testing.assert_array_equal(got[key], ref[key])
-        assert rng1.bit_generator.state == rng2.bit_generator.state
-        assert sampler.batch_index == 5
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_prefetch_deterministic_across_worker_counts(self, workers):
-        pool = self._pool()
-        with SequenceSampler(pool, 4, 4, prefetch=2, workers=workers, seed=9) as s:
-            batches = [s.next_batch() for _ in range(8)]
-        # reference: the documented per-index seed stream
-        from repro.collector.parallel import derive_seed
-
-        for k, got in enumerate(batches):
-            ref = pool.sample_sequences(
-                4, 4, np.random.default_rng(derive_seed(9, k))
-            )
-            for key in ref:
-                np.testing.assert_array_equal(got[key], ref[key])
-
-    def test_seek_resumes_seed_stream(self):
-        pool = self._pool()
-        with SequenceSampler(pool, 4, 4, prefetch=2, seed=9) as s:
-            full = [s.next_batch() for _ in range(6)]
-        with SequenceSampler(pool, 4, 4, prefetch=2, seed=9) as s:
-            s.next_batch()
-            s.seek(4)
-            resumed = s.next_batch()
-        np.testing.assert_array_equal(resumed["states"], full[4]["states"])
-
-    def test_worker_error_propagates_original_exception(self):
-        pool = self._pool()
-        s = SequenceSampler(pool, 4, 4, prefetch=1, seed=0)
-        s.seq_len = 10_000  # longer than any trajectory -> draw must fail
-        # the consumer sees the worker's *original* exception type, so it
-        # can be handled the same way a synchronous draw failure would be
-        with pytest.raises(ValueError, match="trajectory"):
-            s.next_batch()
-        s.close()
-
-    def test_close_after_worker_crash(self):
-        pool = self._pool()
-        before = threading.active_count()
-        s = SequenceSampler(pool, 4, 4, prefetch=2, workers=2, seed=0)
-        s.seq_len = 10_000
-        with pytest.raises(ValueError):
-            s.next_batch()
-        s.close()  # must not hang or raise
-        assert threading.active_count() == before
-        # and the sampler is restartable after a crash via seek()
-        s.seq_len = 4
-        s.seek(0)
-        batch = s.next_batch()
-        assert batch["states"].shape[0] == 4
-        s.close()
-
-    def test_validation(self):
-        pool = self._pool()
-        with pytest.raises(ValueError):
-            SequenceSampler(pool, 4, 4, prefetch=-1)
-        with pytest.raises(ValueError):
-            SequenceSampler(pool, 4, 4, workers=0)
-
-    def test_close_leaves_no_threads(self):
-        pool = self._pool()
-        before = threading.active_count()
-        s = SequenceSampler(pool, 4, 4, prefetch=2, workers=2, seed=1)
-        s.next_batch()
-        s.close()
-        assert threading.active_count() == before
-
-
 class TestEngine:
     def _fast(self, seed=0, **kw):
         pool = synthetic_pool(np.random.default_rng(seed))
         cfg = CRRConfig(batch_size=4, seq_len=4)
         return FastCRRTrainer(pool, net_config=TINY, config=cfg, seed=seed, **kw)
-
-    def test_prefetch_mode_trains(self):
-        t = self._fast(prefetch=2, sampler_workers=2)
-        m = t.train(4)
-        t.close()
-        assert all(np.isfinite(m[k]) for k in METRICS)
-        assert t.steps_done == 4
 
     def test_timing_summary_phases(self):
         t = self._fast()
@@ -250,7 +156,7 @@ class TestEngine:
         assert isinstance(run_fast.trainer, FastCRRTrainer)
         reference = CRRTrainer(pool, net_config=TINY, config=cfg, seed=0)
         reference.train(4)
-        # same seed, prefetch=0: the pipeline ends at the reference's weights
+        # same seed: the pipeline ends at the reference's weights
         p0 = reference.policy.state_dict()
         p1 = run_fast.trainer.policy.state_dict()
         for k in p0:
@@ -263,8 +169,8 @@ class TestBench:
 
         parser = build_parser()
         args = parser.parse_args(
-            ["train", "--pool", "p.npz", "--prefetch", "2", "--workers", "3"]
+            ["train", "--pool", "p.npz", "--grad-workers", "2"]
         )
-        assert args.prefetch == 2 and args.workers == 3
+        assert args.grad_workers == 2
         with pytest.raises(SystemExit):
             parser.parse_args(["train", "--pool", "p.npz", "--engine", "fast"])

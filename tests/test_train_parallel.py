@@ -295,9 +295,10 @@ class TestValidation:
 
     def test_train_sage_on_pool_guards(self):
         pool = synthetic_pool()
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        # rejected before any gradient worker is spawned
+        with pytest.raises(ValueError, match="one step per checkpoint"):
             train_sage_on_pool(
-                pool, n_steps=2, n_checkpoints=1, prefetch=2, grad_workers=2,
+                pool, n_steps=2, n_checkpoints=3, grad_workers=2,
             )
 
     def test_train_sage_on_pool_routes_to_parallel(self):
