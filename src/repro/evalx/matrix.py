@@ -119,10 +119,9 @@ class WinningMatrix:
                 f"{self.rates[c].get(name, 0.0) * 100:11.2f}%" for c in columns
             )
             lines.append(f"{name:>{width}} {cells}")
-        if self.ecn_marks:
-            marks = " ".join(f"{self.ecn_marks.get(c, 0):>12}" for c in columns)
-            lines.append("-" * len(header))
-            lines.append(f"{'ce marks':>{width}} {marks}")
+        marks = " ".join(f"{self.ecn_marks.get(c, 0):>12}" for c in columns)
+        lines.append("-" * len(header))
+        lines.append(f"{'ce marks':>{width}} {marks}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
