@@ -280,11 +280,13 @@ class FastPolicy:
             return None
         return np.zeros(self._p["trunk.gru.wz.W"].shape[1])
 
-    # The 1-D path below uses BLAS gemv. It stays beside the batched einsum
-    # path because the two round differently: the batched kernel at N=1
-    # picks a different ratio on more than half of all steps and is no faster,
-    # while SageAgent, single-flow serving and the pretrained-checkpoint
-    # gates are pinned to the gemv floats.
+    # The 1-D path below uses BLAS gemv. It stays beside the batched
+    # fixed-block gemm path because the two round differently and gemv is
+    # faster for one flow: the batched kernel at N=1 matches gemv's ratio on
+    # only 82/100/101/39 of 200 steps at GRU-16/64/128/1024 and takes 115 vs
+    # 81 us at GRU-16, 4.7 vs 1.6 ms at GRU-1024 (x86-64, AVX-512, OpenBLAS
+    # 0.3.31, one thread). SageAgent, single-flow serving and the
+    # pretrained-checkpoint gates are pinned to the gemv floats.
 
     def _forward_1d(
         self, state: np.ndarray, h: Optional[np.ndarray]
@@ -347,12 +349,13 @@ class FastPolicy:
         return ratio, h
 
     # -- batched serving path ------------------------------------------
-    # One (N, 69) forward for N concurrent flows. Built on the einsum
-    # kernels in repro.nn.batched, so each row's result is bitwise
-    # identical for any batch size N >= 2 — the serving engine may merge
-    # and split NN-tier batches of two or more freely without changing any
-    # flow's decision stream. A flow alone in its tick's NN batch takes the
-    # 1-D gemv path above instead, which differs by float rounding.
+    # One (N, 69) forward for N concurrent flows. Built on the kernels in
+    # repro.nn.batched (BLAS gemm over fixed 16-row blocks), so each row's
+    # result is bitwise identical for any batch size N >= 2 — the serving
+    # engine may merge and split NN-tier batches of two or more freely
+    # without changing any flow's decision stream. A flow alone in its
+    # tick's NN batch takes the 1-D gemv path above instead, which differs
+    # by float rounding.
 
     def _blin(self, name: str, x: np.ndarray) -> np.ndarray:
         return batched_linear(x, self._p[f"{name}.W"], self._p[f"{name}.b"])

@@ -3,8 +3,8 @@
 The symbolic controller is trained to imitate what the serving engine's
 tier-1 forward *would* answer. Each pool trajectory's raw Table-1 states
 are replayed through :class:`~repro.core.networks.FastPolicy` in
-deterministic mode — exactly the batched einsum path the server runs — and
-every step contributes one ``(features, log-ratio)`` pair:
+deterministic mode — exactly the batched fixed-block gemm path the server
+runs — and every step contributes one ``(features, log-ratio)`` pair:
 
 - **features** are the normalized 69-dim GR state (the same
   ``normalize_state`` + optional mask transform the server applies) plus an

@@ -371,8 +371,9 @@ class PolicyServer:
             )
         elapsed = self.clock() - t0
         self._tick_index += 1
-        self._commit_hidden(nn_sessions, h_next)
-        self._nn_age[rows[nn_idx]] = 0
+        nn_rows = rows[nn_idx]
+        self._commit_hidden(nn_rows, h_next)
+        self._nn_age[nn_rows] = 0
 
         budget = self.config.tick_budget
         missed = budget is not None and elapsed > budget
@@ -458,7 +459,7 @@ class PolicyServer:
         return self.fast.sample_step_batch(x, h, [s.rng for s in sessions])
 
     def _commit_hidden(
-        self, sessions: List[_FlowSession], h_next: Optional[np.ndarray]
+        self, rows: np.ndarray, h_next: Optional[np.ndarray]
     ) -> None:
         # Hidden state advances even on a deadline miss: the forward did
         # complete (just late), and keeping recurrent continuity makes
@@ -467,10 +468,8 @@ class PolicyServer:
         # state, so those flows keep their previous hidden state.
         if h_next is None or not self._hdim:
             return
-        for i, sess in enumerate(sessions):
-            row = h_next[i]
-            if np.all(np.isfinite(row)):
-                self._table[sess.row] = row
+        finite = np.isfinite(h_next).all(axis=1)
+        self._table[rows[finite]] = h_next[finite]
 
     # ------------------------------------------------------------------
     # crash tolerance: snapshot / restore, hot reload, tier-0 mounting

@@ -76,7 +76,8 @@ class TestBatchedEquivalence:
         assert np.array_equal(batched, single)
 
     def test_batched_close_to_legacy_1d(self, fast):
-        """The einsum path matches the BLAS gemv path to float rounding."""
+        """The fixed-block gemm path matches the 1-D gemv path to float
+        rounding."""
         rng = np.random.default_rng(2)
         n, t_steps = 5, 6
         states = rng.standard_normal((t_steps, n, STATE_DIM))
@@ -187,6 +188,36 @@ class TestHiddenTable:
                 server.serve_one(0, states[t]).ratio
                 == ref.serve_one(0, states[t]).ratio
             )
+
+    def test_nonfinite_rows_keep_previous_hidden_state(self, policy):
+        """In a batch, only the flows whose hidden row came back non-finite
+        keep their old state; their batch-mates advance as usual."""
+
+        class PoisonRow1(FastPolicy):
+            def step_batch(self, states, h):
+                ratios, h_next = super().step_batch(states, h)
+                h_next[1] = np.nan
+                return ratios, h_next
+
+        cfg = ServeConfig(deterministic=True, tick_budget=None)
+        poisoned = PolicyServer(policy, cfg, fast=PoisonRow1(policy))
+        ref = PolicyServer(policy, cfg)
+        states = np.random.default_rng(8).standard_normal((3, STATE_DIM))
+        for server in (poisoned, ref):
+            for fid in range(3):
+                server.connect(fid)
+                server.submit(fid, states[fid])
+            server.tick()
+
+        def hidden(server, fid):
+            return server._table[server._sessions[fid].row]
+
+        np.testing.assert_array_equal(
+            hidden(poisoned, 1), poisoned.fast.initial_state()
+        )
+        for fid in (0, 2):
+            assert np.all(np.isfinite(hidden(poisoned, fid)))
+            np.testing.assert_array_equal(hidden(poisoned, fid), hidden(ref, fid))
 
     def test_double_connect_rejected(self, policy):
         server = PolicyServer(policy)
