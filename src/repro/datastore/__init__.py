@@ -13,7 +13,8 @@ replacement:
   of every trajectory and shard, with integrity audit and corrupt-shard
   quarantine;
 - :class:`ShardedPool` (``reader``) — the ``PolicyPool`` sampling API over
-  ``np.load(mmap_mode="r")`` shards with a bounded hot-shard LRU;
+  read-only ``mmap``'d shards with a bounded hot-shard LRU (each file's
+  ``.npy`` header is parsed once, so an LRU miss is one ``mmap``);
   bit-identical draws for the same seed;
 - ``convert`` — ``pool pack / merge / verify / stats`` plumbing, including
   :func:`open_pool`, which opens either pool flavor by path.

@@ -3,9 +3,11 @@
 Where :class:`~repro.collector.pool.PolicyPool` holds every trajectory (and
 a second concatenated copy) in RAM, a :class:`ShardedPool` keeps only the
 manifest's integer index arrays resident and reads trajectory rows through
-``np.load(mmap_mode="r")`` — the OS pages in exactly the windows a batch
-touches. A bounded LRU of open shard handles keeps the hot shards' pages
-warm without ever holding more than ``max_open_shards`` files open.
+read-only ``mmap`` views of the shard files — the OS pages in exactly the
+windows a batch touches. A bounded LRU of mapped shards keeps the hot
+shards' pages warm without ever holding more than ``max_open_shards``
+mapped; each file's ``.npy`` header is parsed once, so a miss costs one
+``mmap``.
 
 Sampling is **bit-identical** to the in-memory pool: both draw window
 positions through :func:`repro.collector.pool.draw_window_starts` (one
@@ -16,6 +18,8 @@ CRR trainers therefore accept either pool interchangeably.
 
 from __future__ import annotations
 
+import mmap
+import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
@@ -23,13 +27,18 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.collector.pool import Trajectory, draw_window_starts
-from repro.datastore.manifest import Manifest, TrajectoryRecord
+from repro.datastore.manifest import Manifest, ShardFile, TrajectoryRecord
 
 __all__ = ["ShardedPool", "ShardCache"]
 
 
 class ShardCache:
-    """Bounded LRU of open shard memmaps, shared across pool views."""
+    """Bounded LRU of open shard maps, shared across pool views.
+
+    A file's ``.npy`` header is parsed once, by ``np.load``, the first time
+    the file is mapped; every later miss re-maps the file with that layout,
+    after checking its size against the manifest.
+    """
 
     def __init__(self, root: Path, manifest: Manifest, max_open: int = 8) -> None:
         if max_open < 1:
@@ -38,11 +47,13 @@ class ShardCache:
         self.manifest = manifest
         self.max_open = int(max_open)
         self._open: "OrderedDict[int, Dict[str, np.ndarray]]" = OrderedDict()
+        #: file name -> (resolved path, offset, dtype, shape, strides)
+        self._layouts: Dict[str, tuple] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, shard_idx: int) -> Dict[str, np.ndarray]:
-        """The ``{states, actions, rewards}`` memmaps of one shard."""
+        """The read-only ``{states, actions, rewards}`` arrays of one shard."""
         entry = self._open.get(shard_idx)
         if entry is not None:
             self.hits += 1
@@ -52,12 +63,11 @@ class ShardCache:
         shard = self.manifest.shards[shard_idx]
         entry = {}
         for part, rec in shard.files.items():
-            path = self.root / rec.file
             try:
-                entry[part] = np.load(path, mmap_mode="r", allow_pickle=False)
+                entry[part] = self._map(rec)
             except (OSError, ValueError) as exc:
                 raise ValueError(
-                    f"cannot map shard file {path}: {exc} "
+                    f"cannot map shard file {self.root / rec.file}: {exc} "
                     "(run `repro pool verify` to quarantine corrupt shards)"
                 ) from exc
         self._open[shard_idx] = entry
@@ -65,8 +75,27 @@ class ShardCache:
             self._open.popitem(last=False)
         return entry
 
+    def _map(self, rec: ShardFile) -> np.ndarray:
+        layout = self._layouts.get(rec.file)
+        if layout is None:
+            arr = np.load(self.root / rec.file, mmap_mode="r", allow_pickle=False)
+            layout = (arr.filename, arr.offset, arr.dtype, arr.shape, arr.strides)
+            self._layouts[rec.file] = layout
+        path, offset, dtype, shape, strides = layout
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            # a file rewritten since its header was parsed must not be read
+            # through the old layout
+            size = os.fstat(fd).st_size
+            if size != rec.bytes:
+                raise ValueError(f"{size} bytes on disk, manifest records {rec.bytes}")
+            buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+        return np.ndarray(shape, dtype, buffer=buf, offset=offset, strides=strides)
+
     def clear(self) -> None:
-        """Drop every open handle (the next access reopens lazily)."""
+        """Drop every open map (the next access re-maps lazily)."""
         self._open.clear()
 
 
@@ -178,7 +207,7 @@ class ShardedPool:
 
         Same contract — and, for the same seed and trajectory ordering, the
         same bits — as :meth:`PolicyPool.sample_sequences`, but each window
-        is gathered from its shard's memmap: the resident cost is the
+        is gathered from its shard's map: the resident cost is the
         touched pages, not the pool.
         """
         idx, local_starts = draw_window_starts(

@@ -1,6 +1,8 @@
 """Tests for repro.datastore: sharded ingest, out-of-core sampling, audit."""
 
 import json
+from collections import Counter, OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.collector.environments import EnvConfig
 from repro.collector.parallel import OrderedConsumer, collect_pool_to_store
-from repro.collector.pool import PolicyPool, Trajectory, parse_meta
+from repro.collector.pool import PolicyPool, Trajectory, draw_window_starts, parse_meta
 from repro.core.networks import NetworkConfig
 from repro.core.training import collect_pool, train_sage_on_pool
 from repro.datastore import (
@@ -191,6 +193,78 @@ class TestShardedPool:
         assert len(sp.cache._open) == 0
         # sampling transparently reopens shards after drop_cache
         sp.sample_sequences(8, 6, np.random.default_rng(1))
+
+    def test_miss_remaps_without_reparsing_header(self, tmp_path, monkeypatch):
+        """``np.load`` parses each file once; later LRU misses only re-map.
+
+        Batches stay bit-identical to the in-memory pool and hits/misses
+        match an LRU replay of the same draws, across a ``drop_cache``.
+        """
+        pool = make_pool()
+        sp = pack_pool(pool, tmp_path / "st", shard_bytes=TINY_SHARD)
+        sp = ShardedPool(sp.root, sp.manifest, max_open_shards=1)
+        real_load = np.load
+        loads = Counter()
+
+        def counting_load(file, *args, **kwargs):
+            loads[Path(file).name] += 1
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        r_mem, r_store, r_replay = (np.random.default_rng(9) for _ in range(3))
+        lru, touched = OrderedDict(), set()
+        hits = misses = 0
+
+        def draw():
+            nonlocal hits, misses
+            a = pool.sample_sequences(16, 8, r_mem)
+            b = sp.sample_sequences(16, 8, r_store)
+            for key in ("states", "actions", "rewards", "next_states"):
+                assert np.array_equal(a[key], b[key]), key
+            idx, _ = draw_window_starts(sp._lengths, 8, 16, r_replay)
+            for shard in np.unique(sp._shard_of[idx]).tolist():
+                touched.add(shard)
+                if shard in lru:
+                    hits += 1
+                    lru.move_to_end(shard)
+                else:
+                    misses += 1
+                    lru[shard] = True
+                    while len(lru) > 1:
+                        lru.popitem(last=False)
+
+        n_shards = len(sp.manifest.shards)
+        while misses < 3 * n_shards:
+            draw()
+        sp.drop_cache()
+        lru.clear()
+        for _ in range(5):
+            draw()
+
+        assert (sp.cache.hits, sp.cache.misses) == (hits, misses)
+        files = [
+            f.file for i in sorted(touched) for f in sp.manifest.shards[i].files.values()
+        ]
+        assert loads == Counter(files)
+
+    @pytest.mark.parametrize("damage", ["truncate", "resize", "delete"])
+    def test_shard_file_changed_after_mapping_raises(self, tmp_path, damage):
+        """A shard file damaged after its first mapping fails the next miss
+        with the store's error, not a raw OSError or a SIGBUS on touch."""
+        sp = pack_pool(make_pool(), tmp_path / "st", shard_bytes=TINY_SHARD)
+        sp = ShardedPool(sp.root, sp.manifest, max_open_shards=1)
+        sp.cache.get(0)
+        sp.cache.get(1)  # evicts shard 0
+        path = sp.root / sp.manifest.shards[0].files["states"].file
+        if damage == "truncate":
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size // 2)
+        elif damage == "resize":  # large enough for the old layout
+            path.write_bytes(b"\0" * (path.stat().st_size + 64))
+        else:
+            path.unlink()
+        with pytest.raises(ValueError, match=r"cannot map shard file .*repro pool verify"):
+            sp.cache.get(0)
 
     def test_open_pool_dispatches_on_path(self, tmp_path):
         pool = make_pool(n_traj=3)
