@@ -11,28 +11,29 @@ formulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.collector.environments import EnvConfig, training_environments
-from repro.collector.gr_unit import normalize_state
-from repro.collector.pool import PolicyPool, Trajectory
+from repro.collector.pool import PolicyPool
 from repro.collector.rollout import run_policy
 from repro.core.agent import SageAgent
 from repro.core.crr import CRRConfig
-from repro.nn.functional import softmax_np
-from repro.core.networks import NetworkConfig, SageCritic, SagePolicy, log_action
-from repro.nn.autograd import Tensor, no_grad, stack_rows
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.core.networks import NetworkConfig, log_action
+from repro.nn.autograd import Tensor
+from repro.train import fastpath as fp
+from repro.train.engine import FastCRRTrainer
 
 
-class OnlineRLTrainer:
+class OnlineRLTrainer(FastCRRTrainer):
     """Online off-policy actor-critic with experience replay.
 
-    Critic: the same distributional TD update Sage uses. Actor: likelihood-
-    ratio improvement against the critic's Q on *self-sampled* actions
-    (no advantage filter anchored to a behavior dataset — there is none).
+    The CRR engine over a replay :class:`PolicyPool` that :meth:`collect`
+    refills. Critic: the same distributional TD update Sage uses. Actor:
+    likelihood-ratio improvement against the critic's Q on *self-sampled*
+    actions (no advantage filter anchored to a behavior dataset — there is
+    none).
     """
 
     def __init__(
@@ -43,26 +44,15 @@ class OnlineRLTrainer:
         replay_capacity: int = 200,
         seed: int = 0,
     ) -> None:
+        super().__init__(PolicyPool(), net_config, crr_config, seed)
         self.envs = (
             list(environments)
             if environments is not None
             else training_environments("mini")
         )
-        self.cfg = crr_config if crr_config is not None else CRRConfig()
-        self.net_cfg = net_config if net_config is not None else NetworkConfig()
-        self.rng = np.random.default_rng(seed)
-        self.policy = SagePolicy(self.net_cfg, self.rng)
-        self.critic = SageCritic(self.net_cfg, self.rng)
-        self.target_policy = SagePolicy(self.net_cfg, self.rng)
-        self.target_critic = SageCritic(self.net_cfg, self.rng)
-        self.target_policy.copy_from(self.policy)
-        self.target_critic.copy_from(self.critic)
-        self.opt_policy = Adam(self.policy.parameters(), lr=self.cfg.lr_policy)
-        self.opt_critic = Adam(self.critic.parameters(), lr=self.cfg.lr_critic)
-        self.replay = PolicyPool()
+        self.replay = self.pool
         self.replay_capacity = replay_capacity
         self.rollouts_done = 0
-        self.steps_done = 0
 
     # -- data collection (the "online" part) ------------------------------
     def collect(self, n_rollouts: int = 1) -> None:
@@ -80,72 +70,33 @@ class OnlineRLTrainer:
             self.replay.trajectories.pop(0)
 
     # -- learning -----------------------------------------------------------
-    def train_step(self) -> Dict[str, float]:
-        cfg = self.cfg
-        batch = self.replay.sample_sequences(
-            cfg.batch_size, cfg.seq_len, self.rng, normalize=normalize_state
+    def _policy_backward(self, ctx: Dict, rng: np.random.Generator):
+        """Actor loss/backward: REINFORCE-with-critic on self-sampled actions.
+
+        One action per row, drawn t-major on ``rng``; its critic Q value,
+        standardised over the batch, weights the action's log-likelihood.
+        Returns ``(policy_loss, mean weight)``.
+        """
+        b, l, n = ctx["b"], ctx["l"], ctx["n"]
+        states = ctx["states"]
+        pol_feats = self.policy.features_seq_fused(states)
+        plog, pmu, pls = fp.gmm_split(self.policy, pol_feats.data)
+        pcdf = fp.gmm_cdf(plog)
+        sampled = np.empty(n)
+        for t in range(l):
+            sl = slice(t * b, (t + 1) * b)
+            sampled[sl] = fp.gmm_sample(plog[sl], pmu[sl], pls[sl], rng, cdf=pcdf[sl])
+        rec = fp.critic_recurrent_seq(self.critic, states, self._bufs, "crit")
+        weights = fp.critic_q_values(
+            self.critic, rec, log_action(sampled), self._bufs, "crit"
         )
-        states, next_states = batch["states"], batch["next_states"]
-        log_a = log_action(batch["actions"])
-        rewards = batch["rewards"] * cfg.reward_scale
-        b, l, _ = states.shape
+        weights = (weights - weights.mean()) / (weights.std() + 1e-6)
 
-        with no_grad():
-            tgt_feats = self.target_policy.features_seq(next_states)
-            tgt_rec = self.target_critic.recurrent_seq(next_states)
-            target_probs = np.empty((b, l, self.critic.head.n_atoms))
-            for t in range(l):
-                a_next = self.target_policy.sample(tgt_feats[t], self.rng)
-                logits = self.target_critic.q_logits(tgt_rec[t], log_action(a_next))
-                target_probs[:, t, :] = self.critic.head.project_target(
-                    rewards[:, t], cfg.gamma, softmax_np(logits.data)
-                )
-
-        rec = self.critic.recurrent_seq(states)
-        critic_losses = [
-            self.critic.head.cross_entropy(
-                self.critic.q_features(rec[t], log_a[:, t]), target_probs[:, t, :]
-            )
-            for t in range(l)
-        ]
-        critic_loss = stack_rows(critic_losses).mean()
-        self.opt_critic.zero_grad()
-        critic_loss.backward()
-        clip_grad_norm(self.critic.parameters(), cfg.grad_clip)
-        self.opt_critic.step()
-
-        # actor: REINFORCE-with-critic on self-sampled actions
-        with no_grad():
-            feats_ng = self.policy.features_seq(states)
-            rec_ng = self.critic.recurrent_seq(states)
-            sampled = np.empty((b, l))
-            weights = np.empty((b, l))
-            for t in range(l):
-                a_j = self.policy.sample(feats_ng[t], self.rng)
-                q = self.critic.q_value(rec_ng[t], log_action(a_j)).data
-                sampled[:, t] = np.log(a_j)
-                weights[:, t] = q
-            weights -= weights.mean()
-            weights /= weights.std() + 1e-6
-
-        feats = self.policy.features_seq(states)
-        pol_losses = [
-            (Tensor(weights[:, t]) * self.policy.log_prob(feats[t], sampled[:, t]) * -1.0).mean()
-            for t in range(l)
-        ]
-        policy_loss = stack_rows(pol_losses).mean()
+        logp = self.policy.log_prob(pol_feats, np.log(sampled))
+        policy_loss = (Tensor(weights) * logp * -1.0).mean()
         self.opt_policy.zero_grad()
         policy_loss.backward()
-        clip_grad_norm(self.policy.parameters(), cfg.grad_clip)
-        self.opt_policy.step()
-
-        self.target_policy.soft_update(self.policy, cfg.target_tau)
-        self.target_critic.soft_update(self.critic, cfg.target_tau)
-        self.steps_done += 1
-        return {
-            "critic_loss": float(critic_loss.data),
-            "policy_loss": float(policy_loss.data),
-        }
+        return float(policy_loss.data), float(weights.mean())
 
     def train(
         self, n_iterations: int = 10, rollouts_per_iter: int = 1, steps_per_iter: int = 10
@@ -153,8 +104,7 @@ class OnlineRLTrainer:
         """Interleave environment interaction and learning."""
         for _ in range(n_iterations):
             self.collect(rollouts_per_iter)
-            for _ in range(steps_per_iter):
-                self.train_step()
+            super().train(steps_per_iter)
         return self
 
     def agent(self, name: str = "online-rl") -> SageAgent:

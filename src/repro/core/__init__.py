@@ -5,7 +5,8 @@
   or C51 head (critic), with the ablation switches of Fig. 12.
 - :mod:`~repro.core.crr` — Critic-Regularized Regression: distributional
   policy evaluation (Eq. 5) + exp-advantage-filtered policy improvement
-  (Eq. 6).
+  (Eq. 6), and the learner's hyper-parameters. The learner itself is
+  :class:`repro.train.FastCRRTrainer`.
 - :mod:`~repro.core.agent` — the deployable :class:`SageAgent` (the
   Execution block's user-space side).
 - :mod:`~repro.core.training` — end-to-end pipeline: collect the pool once,
@@ -14,7 +15,7 @@
 
 from repro.core.networks import SagePolicy, SageCritic, NetworkConfig, FastPolicy
 from repro.core.ablation import ABLATIONS, train_ablation
-from repro.core.crr import CRRTrainer, CRRConfig
+from repro.core.crr import CRRConfig
 from repro.core.agent import SageAgent
 from repro.core.training import (
     TrainingRun,
@@ -29,7 +30,6 @@ __all__ = [
     "FastPolicy",
     "ABLATIONS",
     "train_ablation",
-    "CRRTrainer",
     "CRRConfig",
     "SageAgent",
     "TrainingRun",

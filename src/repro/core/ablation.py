@@ -34,7 +34,7 @@ from repro.collector.gr_unit import (
 )
 from repro.collector.pool import PolicyPool
 from repro.core.agent import SageAgent
-from repro.core.crr import CRRConfig, CRRTrainer
+from repro.core.crr import CRRConfig
 from repro.core.networks import NetworkConfig
 
 
@@ -63,13 +63,19 @@ def train_ablation(
     crr_config: Optional[CRRConfig] = None,
     seed: int = 0,
 ) -> SageAgent:
-    """Retrain one ablation variant under the same regime and return it."""
+    """Retrain one ablation variant under Sage's regime and return it.
+
+    The variant trains on :class:`~repro.train.engine.FastCRRTrainer`, the
+    engine that trains Sage itself, so Fig. 12 compares like with like.
+    """
     if name not in ABLATIONS:
         raise ValueError(f"unknown ablation {name!r}; choose from {sorted(ABLATIONS)}")
     overrides, mask = ABLATIONS[name]
     base = net_config if net_config is not None else NetworkConfig()
     cfg = replace(base, **overrides)
-    trainer = CRRTrainer(
+    from repro.train.engine import FastCRRTrainer
+
+    trainer = FastCRRTrainer(
         pool, net_config=cfg, config=crr_config, seed=seed, state_mask=mask
     )
     trainer.train(n_steps)

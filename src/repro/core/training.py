@@ -20,12 +20,13 @@ from repro.collector.environments import EnvConfig, training_environments
 from repro.collector.gr_unit import WindowConfig
 from repro.collector.pool import PolicyPool
 from repro.core.agent import SageAgent
-from repro.core.crr import CRRConfig, CRRTrainer
+from repro.core.crr import CRRConfig
 from repro.core.networks import NetworkConfig
 from repro.tcp.cc_base import POOL_SCHEMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datastore.reader import ShardedPool
+    from repro.train.engine import FastCRRTrainer
 
 #: both pool flavors expose the same sampling API (see repro.datastore)
 AnyPool = Union[PolicyPool, "ShardedPool"]
@@ -36,7 +37,7 @@ class TrainingRun:
     """Everything a training session produces."""
 
     agent: SageAgent
-    trainer: CRRTrainer
+    trainer: "FastCRRTrainer"
     checkpoints: List[Dict[str, np.ndarray]] = field(default_factory=list)
     #: training-step index at which each checkpoint was taken
     checkpoint_steps: List[int] = field(default_factory=list)
@@ -144,13 +145,10 @@ def train_sage_on_pool(
     """Phase 2: offline CRR training with per-"day" checkpoints.
 
     ``n_checkpoints`` evenly-spaced snapshots stand in for the paper's seven
-    daily checkpoints in Fig. 7.
+    daily checkpoints in Fig. 7: day ``k`` ends at step
+    ``(k + 1) * n_steps // n_checkpoints``, so the last one is ``n_steps``.
 
-    Training runs on the fused :class:`~repro.train.engine.FastCRRTrainer`,
-    which consumes the *same RNG stream* as the per-timestep reference
-    :class:`CRRTrainer`, so the sampled batches and drawn actions are
-    identical and the learning curves agree to float rounding.
-
+    Training runs on :class:`~repro.train.engine.FastCRRTrainer`.
     ``grad_workers > 0`` trains through N data-parallel gradient processes
     — the :class:`~repro.train.parallel.DataParallelTrainer`. Results are
     bit-identical for any worker count dividing the grain width, but on a
@@ -158,34 +156,23 @@ def train_sage_on_pool(
     """
     if n_steps < n_checkpoints:
         raise ValueError("need at least one step per checkpoint")
-    if grad_workers > 0:
-        from repro.train.parallel import DataParallelTrainer
+    from repro.train import make_trainer
 
-        trainer = DataParallelTrainer(
-            pool,
-            net_config=net_config,
-            config=crr_config,
-            seed=seed,
-            grad_workers=grad_workers,
-            chaos=chaos,
-        )
-    else:
-        from repro.train.engine import FastCRRTrainer
-
-        trainer = FastCRRTrainer(
-            pool,
-            net_config=net_config,
-            config=crr_config,
-            seed=seed,
-            chaos=chaos,
-        )
+    trainer = make_trainer(
+        pool,
+        net_config=net_config,
+        config=crr_config,
+        seed=seed,
+        grad_workers=grad_workers,
+        chaos=chaos,
+    )
     run = TrainingRun(
         agent=SageAgent(trainer.policy, name="sage"),
         trainer=trainer,
     )
-    per_ckpt = n_steps // n_checkpoints
     for day in range(n_checkpoints):
-        trainer.train(per_ckpt, log_every=log_every, guard=guard)
+        end = (day + 1) * n_steps // n_checkpoints
+        trainer.train(end - trainer.steps_done, log_every=log_every, guard=guard)
         run.checkpoints.append(trainer.policy.state_dict())
         run.checkpoint_steps.append(trainer.steps_done)
     # stop gradient-worker processes, then release the pool's concat cache

@@ -156,22 +156,6 @@ def _crr_config(cfg: PipelineConfig):
     )
 
 
-def _make_trainer(cfg: PipelineConfig, pool, chaos=None):
-    if cfg.grad_workers > 0:
-        from repro.train.parallel import DataParallelTrainer
-
-        return DataParallelTrainer(
-            pool, net_config=_net_config(cfg), config=_crr_config(cfg),
-            seed=cfg.train_seed, grad_workers=cfg.grad_workers, chaos=chaos,
-        )
-    from repro.train.engine import FastCRRTrainer
-
-    return FastCRRTrainer(
-        pool, net_config=_net_config(cfg), config=_crr_config(cfg),
-        seed=cfg.train_seed, chaos=chaos,
-    )
-
-
 # --------------------------------------------------------------------------
 # stage: collect
 # --------------------------------------------------------------------------
@@ -338,6 +322,7 @@ def _stage_train(ctx: Dict) -> Dict:
     and training restarts from scratch.
     """
     from repro.datastore.reader import ShardedPool
+    from repro.train import make_trainer
     from repro.train.guard import DivergenceGuard, GuardConfig
 
     cfg: PipelineConfig = ctx["config"]
@@ -345,7 +330,11 @@ def _stage_train(ctx: Dict) -> Dict:
     pool = ShardedPool.open(cfg.store_dir)
     trainer = None
     try:
-        trainer = _make_trainer(cfg, pool, chaos=ctx.get("chaos"))
+        trainer = make_trainer(
+            pool, net_config=_net_config(cfg), config=_crr_config(cfg),
+            seed=cfg.train_seed, grad_workers=cfg.grad_workers,
+            chaos=ctx.get("chaos"),
+        )
         if cfg.checkpoint_path.exists():
             try:
                 trainer.load_checkpoint(cfg.checkpoint_path)

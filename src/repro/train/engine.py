@@ -1,8 +1,8 @@
-"""FastCRRTrainer: the fused sequence-level CRR training engine.
+"""FastCRRTrainer: Sage's CRR learner, on a fused sequence-level engine.
 
-Same learner as :class:`~repro.core.crr.CRRTrainer` (Eq. 5 policy
-evaluation + Eq. 6 advantage-filtered improvement), restructured for
-throughput:
+The learner of PAPER.md §4.2 — Eq. 5 distributional policy evaluation and
+Eq. 6 advantage-filtered policy improvement (see :mod:`repro.core.crr`) —
+structured for throughput:
 
 - **No-grad phases on raw numpy.** Bellman targets and the advantage
   filter run through :mod:`repro.train.fastpath` — plain arrays,
@@ -12,19 +12,19 @@ throughput:
   (``features_seq_fused`` / ``recurrent_seq_fused``): one graph over all
   timesteps instead of ``L`` per-timestep subgraphs.
 
-Equivalence contract (vs the reference ``CRRTrainer``, same seed): batches
-are drawn by the inherited ``CRRTrainer._sample_batch`` and every RNG draw
-happens in the same order on the same generator — pool sampling, then
-per-timestep target-action draws, then the ``t``-major ``m_samples``
-filter draws — so the random *streams* are bit-identical. Floating-point
-values differ only by summation-order rounding (BLAS blocking on the
-larger fused matmuls, gate-weight splitting in the GRU), so
-``critic_loss`` / ``policy_loss`` / ``mean_f`` trajectories track the
-reference engine within accumulated float tolerance rather than bitwise; the
-only mechanism that could amplify a rounding difference is a sampled
-mixture component or binary-filter indicator flipping across the
-boundary, which at float64 has negligible probability per step. The
-regression test pins this tolerance.
+Equivalence contract (vs the per-timestep oracle in
+``tests/crr_oracle.py``, same seed): every RNG draw happens in the same
+order on the same generator — pool sampling, then per-timestep
+target-action draws, then the ``t``-major ``m_samples`` filter draws — so
+the random *streams* are bit-identical. Floating-point values differ only
+by summation-order rounding (BLAS blocking on the larger fused matmuls,
+gate-weight splitting in the GRU), so ``critic_loss`` / ``policy_loss`` /
+``mean_f`` trajectories track the oracle within accumulated float
+tolerance rather than bitwise; the only mechanism that could amplify a
+rounding difference is a sampled mixture component or binary-filter
+indicator flipping across the boundary, which at float64 has negligible
+probability per step. ``tests/test_train_engine.py`` pins this tolerance
+and ``tests/test_learner_golden.py`` pins the engine's own digests.
 """
 
 from __future__ import annotations
@@ -32,17 +32,19 @@ from __future__ import annotations
 import json
 import time
 import zipfile
+from collections import deque
 from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.collector.gr_unit import normalize_state
 from repro.collector.pool import PolicyPool
-from repro.core.crr import CRRConfig, CRRTrainer, MetricsCallback
-from repro.core.networks import NetworkConfig, log_action
+from repro.core.crr import CRRConfig, MetricsCallback
+from repro.core.networks import NetworkConfig, SageCritic, SagePolicy, log_action
 from repro.nn.autograd import Tensor
 from repro.nn.functional import softmax_np
-from repro.nn.optim import clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.persist import verify_sidecar, write_npz_atomic
 from repro.train import fastpath as fp
 
@@ -51,16 +53,21 @@ __all__ = ["FastCRRTrainer"]
 _PHASES = ("sample", "targets", "critic", "filter", "policy", "update")
 
 
-class FastCRRTrainer(CRRTrainer):
-    """Drop-in CRR trainer with the fused hot path.
+class FastCRRTrainer:
+    """Trains a :class:`SagePolicy` / :class:`SageCritic` pair offline.
 
-    Extra parameters on top of :class:`CRRTrainer`:
-
+    ``state_mask``
+        Optional 0/1 vector over the 69 inputs; zeroed entries are removed
+        from the agent's view (the Fig. 12 input ablations).
     ``chaos``
         Optional :class:`~repro.chaos.inject.FaultInjector`; pending
         ``train.*`` faults (NaN / reward-spike batches) poison the matching
         sampled batch — the corruption a
         :class:`~repro.train.guard.DivergenceGuard` must catch.
+    ``rss_soft_limit_mb``
+        Optional RSS watermark: crossing it drops the pool's hot-shard
+        cache (recomputable state) instead of letting a long training run
+        be OOM-killed mid-checkpoint.
     """
 
     def __init__(
@@ -73,12 +80,30 @@ class FastCRRTrainer(CRRTrainer):
         chaos=None,
         rss_soft_limit_mb: Optional[float] = None,
     ) -> None:
-        super().__init__(pool, net_config, config, seed, state_mask)
+        self.pool = pool
+        self.cfg = config if config is not None else CRRConfig()
+        self.net_cfg = net_config if net_config is not None else NetworkConfig()
+        self.state_mask = None if state_mask is None else np.asarray(state_mask, float)
+        self.rng = np.random.default_rng(seed)
+
+        # construction order is part of the seed contract: the four nets
+        # draw their initial weights from self.rng in this order
+        self.policy = SagePolicy(self.net_cfg, self.rng)
+        self.critic = SageCritic(self.net_cfg, self.rng)
+        self.target_policy = SagePolicy(self.net_cfg, self.rng)
+        self.target_critic = SageCritic(self.net_cfg, self.rng)
+        self.target_policy.copy_from(self.policy)
+        self.target_critic.copy_from(self.critic)
+
+        self.opt_policy = Adam(self.policy.parameters(), lr=self.cfg.lr_policy)
+        self.opt_critic = Adam(self.critic.parameters(), lr=self.cfg.lr_critic)
+        self.steps_done = 0
+        self.history: Dict[str, deque] = {
+            k: deque(maxlen=self.cfg.history_limit)
+            for k in ("critic_loss", "policy_loss", "mean_f")
+        }
         self._chaos = chaos
         self._bufs = fp.BufferPool()
-        #: optional RSS watermark: crossing it drops the pool's hot-shard
-        #: cache (recomputable state) instead of letting a long training
-        #: run be OOM-killed mid-checkpoint
         self.memory_guard = None
         if rss_soft_limit_mb is not None:
             from repro.resources import MemoryGuard
@@ -104,19 +129,31 @@ class FastCRRTrainer(CRRTrainer):
         # Polyak pairs, resolved once: the Tensor objects are stable (only
         # their .data rebinds), so the name matching need not be repeated
         # every step the way Module.soft_update does.
-        self._polyak_pairs = [
-            (dict(tgt.named_parameters()), dict(src.named_parameters()))
-            for tgt, src in (
-                (self.target_policy, self.policy),
-                (self.target_critic, self.critic),
+        self._polyak_pairs = []
+        for tgt, src in (
+            (self.target_policy, self.policy),
+            (self.target_critic, self.critic),
+        ):
+            theirs = dict(src.named_parameters())
+            self._polyak_pairs.append(
+                [(p, theirs[name]) for name, p in tgt.named_parameters()]
             )
-        ]
-        self._polyak_pairs = [
-            [(mine[name], theirs[name]) for name in mine]
-            for mine, theirs in self._polyak_pairs
-        ]
 
     # ------------------------------------------------------------------
+    def _normalize(self, s: np.ndarray) -> np.ndarray:
+        out = normalize_state(s)
+        if self.state_mask is not None:
+            out = out * self.state_mask
+        return out
+
+    def _sample_batch(self) -> Dict[str, np.ndarray]:
+        return self.pool.sample_sequences(
+            self.cfg.batch_size,
+            self.cfg.seq_len,
+            self.rng,
+            normalize=self._normalize,
+        )
+
     def close(self) -> None:
         """Release worker resources: nothing in this single-process engine;
         :class:`~repro.train.parallel.DataParallelTrainer` stops its
@@ -168,7 +205,7 @@ class FastCRRTrainer(CRRTrainer):
         t1 = time.perf_counter()
 
         # ---- targets (raw numpy, no graph) ----------------------------
-        # Same RNG order as the reference per-t loop: actions for timestep t
+        # Same RNG order as the oracle's per-t loop: actions for timestep t
         # are drawn before timestep t+1's. The mixture CDF is precomputed
         # for all rows at once (consumes no RNG).
         p_tpol = fp.params_of(self.target_policy)
@@ -200,7 +237,7 @@ class FastCRRTrainer(CRRTrainer):
         # ---- policy evaluation (critic loss, Eq. 5) -------------------
         rec = self.critic.recurrent_seq_fused(ctx["states"])
         feats = self.critic.q_features(rec, ctx["log_a_flat"])
-        # flat mean over L*B rows == reference mean of per-t means (equal B)
+        # flat mean over L*B rows == the oracle's mean of per-t means (equal B)
         critic_loss = self.critic.head.cross_entropy(feats, target_probs)
         self.opt_critic.zero_grad()
         critic_loss.backward()
@@ -234,7 +271,7 @@ class FastCRRTrainer(CRRTrainer):
         pcdf = fp.gmm_cdf(plog)
         p_crit = fp.params_of(self.critic)
         rec_np = fp.critic_recurrent_seq(self.critic, states, bufs, "crit", p=p_crit)
-        # reference draw order: t outer, j in m_samples inner
+        # the oracle's draw order: t outer, j in m_samples inner
         m = cfg.m_samples
         a_samp = np.empty((m, n))
         for t in range(l):
@@ -335,8 +372,13 @@ class FastCRRTrainer(CRRTrainer):
         checkpoint_path: Optional[str] = None,
         guard=None,
     ) -> Dict[str, float]:
-        """Like :meth:`CRRTrainer.train`, plus periodic checkpointing:
-        every ``checkpoint_every`` steps, and after the last one, the full
+        """Run ``n_steps`` iterations; returns the final step's metrics.
+
+        ``metrics_callback(steps_done, metrics)`` replaces the default
+        ``print`` logging: it fires every ``log_every`` steps, or after
+        every step when ``log_every`` is 0.
+
+        Every ``checkpoint_every`` steps, and after the last one, the full
         training state is saved to ``checkpoint_path`` (overwritten in
         place) — each checkpointed step once, the final state always.
 

@@ -68,7 +68,13 @@ from repro.core.networks import NetworkConfig
 from repro.nn.optim import clip_grad_norm
 from repro.train.engine import FastCRRTrainer
 
-__all__ = ["DataParallelTrainer", "WorkerCrashed", "DEFAULT_GRAINS", "grain_seed"]
+__all__ = [
+    "DataParallelTrainer",
+    "WorkerCrashed",
+    "DEFAULT_GRAINS",
+    "grain_seed",
+    "make_trainer",
+]
 
 #: canonical batch-decomposition width — every worker count must divide it
 DEFAULT_GRAINS = 4
@@ -619,3 +625,28 @@ class DataParallelTrainer(FastCRRTrainer):
                 h.stop()
         self._workers = [None] * self.grad_workers
         super().close()
+
+
+def make_trainer(
+    pool,
+    net_config: Optional[NetworkConfig] = None,
+    config: Optional[CRRConfig] = None,
+    seed: int = 0,
+    grad_workers: int = 0,
+    chaos=None,
+) -> FastCRRTrainer:
+    """The CRR trainer for a worker layout.
+
+    ``grad_workers=0`` is the single-process :class:`FastCRRTrainer`;
+    ``N >= 1`` is a :class:`DataParallelTrainer` over N gradient processes,
+    on the per-(step, grain) seed stream rather than the single-process
+    one. Call ``close()`` on the result when done.
+    """
+    if grad_workers > 0:
+        return DataParallelTrainer(
+            pool, net_config=net_config, config=config, seed=seed,
+            grad_workers=grad_workers, chaos=chaos,
+        )
+    return FastCRRTrainer(
+        pool, net_config=net_config, config=config, seed=seed, chaos=chaos
+    )

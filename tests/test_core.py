@@ -6,7 +6,7 @@ import pytest
 from repro.collector.gr_unit import STATE_DIM
 from repro.collector.pool import PolicyPool, Trajectory
 from repro.core.agent import SageAgent
-from repro.core.crr import CRRConfig, CRRTrainer
+from repro.core.crr import CRRConfig
 from repro.core.networks import (
     FastPolicy,
     NetworkConfig,
@@ -15,6 +15,7 @@ from repro.core.networks import (
     log_action,
 )
 from repro.nn.autograd import Tensor, no_grad
+from repro.train.engine import FastCRRTrainer
 
 RNG = np.random.default_rng(0)
 TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=2, n_atoms=7)
@@ -129,7 +130,7 @@ class TestCRR:
     def _trainer(self, seed=0):
         pool = synthetic_pool(np.random.default_rng(seed))
         cfg = CRRConfig(batch_size=4, seq_len=4)
-        return CRRTrainer(pool, net_config=TINY, config=cfg, seed=seed)
+        return FastCRRTrainer(pool, net_config=TINY, config=cfg, seed=seed)
 
     def test_train_step_returns_finite_metrics(self):
         t = self._trainer()
@@ -160,7 +161,7 @@ class TestCRR:
         # the policy prefer it over a bad-but-in-distribution action (1.8).
         pool = synthetic_pool(np.random.default_rng(1))
         cfg = CRRConfig(batch_size=8, seq_len=4, lr_policy=1e-3, lr_critic=1e-3)
-        t = CRRTrainer(pool, net_config=TINY, config=cfg, seed=1)
+        t = FastCRRTrainer(pool, net_config=TINY, config=cfg, seed=1)
         t.train(150)
         feats = t.policy.features_seq(np.zeros((8, 3, STATE_DIM)))
         lp_good = t.policy.log_prob(feats[-1], log_action(np.full(8, 1.1))).data
@@ -192,24 +193,24 @@ class TestCRR:
         assert CRRConfig(history_limit=None).history_limit is None
 
     def test_policy_features_computed_once_per_step(self):
-        # The train step reuses one features_seq pass for both the
+        # The train step reuses one fused trunk pass for both the
         # advantage filter and the improvement loss.
         t = self._trainer()
         calls = {"n": 0}
-        orig = t.policy.features_seq
+        orig = t.policy.features_seq_fused
 
         def counting(states):
             calls["n"] += 1
             return orig(states)
 
-        t.policy.features_seq = counting
+        t.policy.features_seq_fused = counting
         t.train_step()
         assert calls["n"] == 1
 
     def test_history_limit_bounds_metrics(self):
         pool = synthetic_pool(np.random.default_rng(3))
         cfg = CRRConfig(batch_size=4, seq_len=4, history_limit=3)
-        t = CRRTrainer(pool, net_config=TINY, config=cfg, seed=3)
+        t = FastCRRTrainer(pool, net_config=TINY, config=cfg, seed=3)
         t.train(5)
         assert all(len(h) == 3 for h in t.history.values())
 
@@ -227,7 +228,7 @@ class TestCRR:
     def test_binary_filter_trains(self):
         pool = synthetic_pool(np.random.default_rng(4))
         cfg = CRRConfig(batch_size=4, seq_len=4, filter_type="binary")
-        t = CRRTrainer(pool, net_config=TINY, config=cfg, seed=4)
+        t = FastCRRTrainer(pool, net_config=TINY, config=cfg, seed=4)
         m = t.train_step()
         assert np.isfinite(m["policy_loss"])
         # the binary filter is an indicator: mean weight within [0, 1]

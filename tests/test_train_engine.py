@@ -2,8 +2,8 @@
 
 The load-bearing guarantee: with the same seed, the fused
 :class:`FastCRRTrainer` consumes the *identical RNG stream* as the
-reference :class:`CRRTrainer` and its metric trajectories match within the
-pinned float tolerance (the fused path reorders float summations — BLAS
+per-timestep oracle :class:`~tests.crr_oracle.CRRTrainer` and its metric
+trajectories match within the pinned float tolerance (the fused path reorders float summations — BLAS
 blocking on the larger matmuls, GRU gate-weight splitting — but changes
 no math and no random draws).
 """
@@ -13,9 +13,10 @@ import pytest
 
 from repro.collector.gr_unit import STATE_DIM
 from repro.collector.pool import PolicyPool, Trajectory
-from repro.core.crr import CRRConfig, CRRTrainer
+from repro.core.crr import CRRConfig
 from repro.core.networks import NetworkConfig
 from repro.train.engine import FastCRRTrainer
+from tests.crr_oracle import CRRTrainer
 
 TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=2, n_atoms=7)
 METRICS = ("critic_loss", "policy_loss", "mean_f")

@@ -28,7 +28,7 @@ from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.collector.gr_unit import STATE_DIM
 from repro.collector.parallel import derive_seed
 from repro.collector.pool import PolicyPool, Trajectory
-from repro.core.crr import CRRConfig, CRRTrainer
+from repro.core.crr import CRRConfig
 from repro.core.networks import NetworkConfig
 from repro.core.training import train_sage_on_pool
 from repro.train.engine import FastCRRTrainer

@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.collector.environments import EnvConfig
 from repro.collector.gr_unit import STATE_DIM, WindowConfig
+from repro.collector.pool import PolicyPool, Trajectory
 from repro.core.crr import CRRConfig
 from repro.core.networks import NetworkConfig
 from repro.core.training import collect_pool, train_sage_on_pool
@@ -55,6 +56,26 @@ class TestCheckpoints:
         # weights keep moving between checkpoints
         k0, k2 = run.checkpoints[0], run.checkpoints[2]
         assert any(not np.allclose(k0[k], k2[k]) for k in k0)
+
+    def test_uneven_split_trains_every_step(self):
+        # 300 steps over 7 days does not divide: day k ends at
+        # (k + 1) * 300 // 7, so no remainder step is dropped
+        rng = np.random.default_rng(0)
+        pool = PolicyPool([
+            Trajectory(
+                scheme="s", env_id=f"e{i}", multi_flow=False,
+                states=rng.standard_normal((16, STATE_DIM)),
+                actions=rng.uniform(0.8, 1.2, size=16),
+                rewards=rng.uniform(0, 1, size=16),
+            )
+            for i in range(2)
+        ])
+        run = train_sage_on_pool(
+            pool, n_steps=300, n_checkpoints=7, net_config=TINY,
+            crr_config=CRRConfig(batch_size=2, seq_len=2),
+        )
+        assert run.trainer.steps_done == 300
+        assert run.checkpoint_steps == [42, 85, 128, 171, 214, 257, 300]
 
     def test_agent_at_is_stochastic_by_default(self):
         pool = collect_pool([env()], schemes=["cubic"])

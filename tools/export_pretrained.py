@@ -2,8 +2,9 @@
 """Rebuild the shipped pretrained checkpoint, deterministically.
 
 Collects an 8-scheme pool over a 36-environment grid (24 Set I + 12
-Set II), trains the default laptop-scale Sage (GRU-32) for 1200 CRR steps
-with a fixed seed, validates the result on a familiar link, and writes
+Set II), trains the default laptop-scale Sage (GRU-32) for 1450 CRR steps
+on :class:`~repro.train.engine.FastCRRTrainer` with a fixed seed, validates
+the result on a familiar link, and writes
 
 - ``models/sage_pretrained.npz``  — the policy parameters,
 - ``models/sage_pretrained.json`` — the architecture + provenance metadata
@@ -39,9 +40,10 @@ from repro.collector.environments import (  # noqa: E402
 )
 from repro.collector.parallel import collect_pool_parallel  # noqa: E402
 from repro.core.agent import SageAgent  # noqa: E402
-from repro.core.crr import CRRConfig, CRRTrainer  # noqa: E402
+from repro.core.crr import CRRConfig  # noqa: E402
 from repro.core.networks import NetworkConfig  # noqa: E402
 from repro.collector.rollout import run_policy  # noqa: E402
+from repro.train.engine import FastCRRTrainer  # noqa: E402
 
 #: the 8-scheme pool the shipped model is trained on
 POOL_SCHEMES = [
@@ -94,8 +96,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=1450,
                         help="CRR training steps (default 1450 — the "
-                             "validated operating point for seed 42)")
-    parser.add_argument("--seed", type=int, default=42)
+                             "validated operating point for seed 12)")
+    parser.add_argument("--seed", type=int, default=12,
+                        help="learner seed (default 12: the seed scan in "
+                             "models/README.md)")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="pool-collection worker processes")
     parser.add_argument("--pool", type=Path, default=None,
@@ -130,7 +134,7 @@ def main(argv=None) -> int:
 
     t1 = time.perf_counter()
     print(f"training: {steps} CRR steps, seed {args.seed}", flush=True)
-    trainer = CRRTrainer(pool, net_config=NET, config=CRR, seed=args.seed)
+    trainer = FastCRRTrainer(pool, net_config=NET, config=CRR, seed=args.seed)
     trainer.train(steps)
     print(f"trained ({time.perf_counter() - t1:.0f}s)", flush=True)
 
