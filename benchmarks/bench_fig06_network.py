@@ -1,7 +1,8 @@
 """Fig. 6 — Sage's neural network.
 
 Times a forward+backward pass through the full architecture (encoder ->
-GRU -> LayerNorm -> encoder -> FC -> residual x2 -> GMM) and one real-time
+GRU -> LayerNorm -> encoder -> FC -> residual x2 -> GMM) on the fused
+sequence path every learner trains on, and one real-time
 inference step through the frozen fast path, asserting the inference
 budget the Execution block needs (well under the 20 ms control tick).
 """
@@ -13,7 +14,6 @@ import numpy as np
 from conftest import BENCH_NET
 from repro.collector.gr_unit import STATE_DIM
 from repro.core.networks import FastPolicy, SagePolicy
-from repro.nn.autograd import stack_rows
 
 
 def test_fig06_training_pass(benchmark):
@@ -21,11 +21,12 @@ def test_fig06_training_pass(benchmark):
     policy = SagePolicy(BENCH_NET, rng)
     states = rng.standard_normal((8, 6, STATE_DIM))
     actions = rng.uniform(-0.5, 0.5, size=(8, 6))
+    # t-major, like the fused features: row t*B + i is batch row i at step t
+    actions_flat = np.ascontiguousarray(actions.T).reshape(-1)
 
     def fwd_bwd():
-        feats = policy.features_seq(states)
-        losses = [(-1.0 * policy.log_prob(feats[t], actions[:, t])).mean() for t in range(6)]
-        loss = stack_rows(losses).mean()
+        feats = policy.features_seq_fused(states)
+        loss = (-1.0 * policy.log_prob(feats, actions_flat)).mean()
         policy.zero_grad()
         loss.backward()
         return float(loss.data)

@@ -19,7 +19,7 @@ from repro.collector.gr_unit import normalize_state
 from repro.collector.rollout import RolloutResult, run_policy
 from repro.core.agent import SageAgent
 from repro.core.networks import NetworkConfig, SagePolicy, log_action
-from repro.nn.autograd import Tensor, stack_rows
+from repro.nn.autograd import Tensor
 from repro.nn.optim import Adam, clip_grad_norm
 
 
@@ -98,8 +98,8 @@ class AuroraTrainer:
         t_idx = np.arange(len(log_a))
         if len(t_idx) > 128:
             t_idx = self.rng.choice(t_idx, size=128, replace=False)
-        feats = self.policy.features_seq(states[t_idx][:, None, :])
-        logp = self.policy.log_prob(feats[0], log_a[t_idx])
+        feats = self.policy.features_seq_fused(states[t_idx][:, None, :])
+        logp = self.policy.log_prob(feats, log_a[t_idx])
         loss = (Tensor(adv[t_idx]) * logp * -1.0).mean()
         self.opt.zero_grad()
         loss.backward()

@@ -24,7 +24,6 @@ from repro.collector.gr_unit import normalize_state
 from repro.collector.pool import PolicyPool
 from repro.core.agent import SageAgent
 from repro.core.networks import NetworkConfig, SagePolicy, log_action
-from repro.nn.autograd import Tensor, stack_rows
 from repro.nn.optim import Adam, clip_grad_norm
 
 #: The pool filters defining each BC variant (paper Section 6.2).
@@ -64,14 +63,13 @@ class BCTrainer:
         batch = self.pool.sample_sequences(
             self.batch_size, self.seq_len, self.rng, normalize=normalize_state
         )
-        states = batch["states"]
+        # the fused trunk's rows are t-major (row t*B + i is batch row i at
+        # timestep t), so the actions are flattened the same way; one flat
+        # mean equals the mean of per-timestep means at equal batch rows
         log_a = log_action(batch["actions"])
-        feats = self.policy.features_seq(states)
-        losses = []
-        for t in range(self.seq_len):
-            logp = self.policy.log_prob(feats[t], log_a[:, t])
-            losses.append((logp * -1.0).mean())
-        loss = stack_rows(losses).mean()
+        log_a_flat = np.ascontiguousarray(log_a.T).reshape(-1)
+        feats = self.policy.features_seq_fused(batch["states"])
+        loss = (self.policy.log_prob(feats, log_a_flat) * -1.0).mean()
         self.opt.zero_grad()
         loss.backward()
         clip_grad_norm(self.policy.parameters(), self.grad_clip)

@@ -184,20 +184,6 @@ class FaultInjector:
             if "states" in batch:
                 batch["states"][...] = batch["states"] * scale
 
-    def worker_crash(self, step_index: int) -> Optional[FaultSpec]:
-        """The gradient-worker kill scheduled before step ``step_index``.
-
-        Consulted by the data-parallel trainer's parent at the top of each
-        step; ``spec.param`` names the victim worker (reduced modulo the
-        worker count). One-shot like every site — the respawned worker
-        replays the step from the same per-(step, grain) seeds, so
-        recovery is bit-identical to a run that never saw the kill.
-        """
-        return self.take(
-            "train.workercrash", step_index,
-            "killed a gradient worker before this step",
-        )
-
     # ------------------------------------------------------------------
     # serve: poison or delay one tick's forward pass
     # ------------------------------------------------------------------

@@ -50,8 +50,6 @@ SITES: Dict[str, str] = {
     "train.nan": "overwrite the target training batch's rewards with NaN",
     "train.spike": "mis-scale the target training batch: states and "
                    "rewards x `param`",
-    "train.workercrash": "kill gradient worker `param` before the target "
-                         "training step (data-parallel runs only)",
     "serve.nan": "replace the target tick's policy outputs (and hidden "
                  "states) with NaN",
     "serve.slow": "delay the target tick's forward pass by `param` seconds",
@@ -72,7 +70,6 @@ DEFAULT_PARAMS: Dict[str, float] = {
     "datastore.truncate": 64.0,
     "train.nan": 0.0,
     "train.spike": 1e6,
-    "train.workercrash": 0.0,
     "serve.nan": 0.0,
     "serve.slow": 0.05,
     "netsim.linkflap": 0.5,

@@ -58,7 +58,6 @@ DEFAULT_RATES: Dict[str, float] = {
     "datastore.truncate": 0.10,
     "train.nan": 0.03,
     "train.spike": 0.02,
-    "train.workercrash": 0.02,
     "serve.nan": 0.02,
     "serve.slow": 0.02,
     "netsim.linkflap": 0.10,

@@ -100,7 +100,7 @@ def _cmd_train(args) -> int:
     run = train_sage_on_pool(
         pool, n_steps=args.steps, n_checkpoints=args.checkpoints,
         net_config=net, crr_config=CRRConfig(), seed=args.seed,
-        log_every=args.log_every, grad_workers=args.grad_workers,
+        log_every=args.log_every,
     )
     run.agent.save(args.out)
     print(f"trained {run.trainer.steps_done} steps; saved policy to {args.out}")
@@ -260,7 +260,6 @@ def _pipeline_config(args):
         max_task_seconds=args.task_timeout,
         n_steps=args.steps,
         train_seed=args.seed,
-        grad_workers=args.grad_workers,
         eval_duration=args.eval_duration,
         fault_plan=args.fault_plan or None,
     )
@@ -545,10 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log-every", type=int, default=0, dest="log_every")
     p.add_argument("--out", default="sage.npz")
-    p.add_argument("--grad-workers", type=int, default=0, dest="grad_workers",
-                   help="data-parallel gradient worker processes "
-                        "(0 = single-process; results are bit-identical "
-                        "for any count that divides the grain width)")
     _add_net_args(p)
     p.set_defaults(func=_cmd_train)
 
@@ -627,9 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--steps", type=int, default=12,
                    help="training steps")
-    q.add_argument("--grad-workers", type=int, default=0, dest="grad_workers",
-                   help="data-parallel gradient worker processes for the "
-                        "train stage (0 = single-process)")
     q.add_argument("--task-timeout", type=float, default=None,
                    dest="task_timeout", metavar="SECONDS",
                    help="per-rollout watchdog deadline during collection")

@@ -167,19 +167,6 @@ class PolicyPool:
         """A sub-pool of trajectories whose env_id satisfies ``predicate``."""
         return PolicyPool([t for t in self.trajectories if predicate(t.env_id)])
 
-    def grain_view(self, index: int, count: int) -> "PolicyPool":
-        """Round-robin slice ``index`` of ``count`` — trajectories
-        ``index, index+count, index+2*count, ...``.
-
-        The data-parallel trainer's canonical batch decomposition: the
-        grain's trajectory ordering (and therefore its sampling RNG
-        stream) depends only on ``(index, count)``, never on which worker
-        process samples it.
-        """
-        if not 0 <= index < count:
-            raise ValueError(f"grain index {index} outside [0, {count})")
-        return PolicyPool(self.trajectories[index::count])
-
     # ------------------------------------------------------------------
     def _concat_arrays(self):
         """Concatenated trajectory arrays for vectorized window sampling.

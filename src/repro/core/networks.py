@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,37 +112,16 @@ class _Trunk(Module):
         h = self.res2(h)
         return h
 
-    # -- sequence helpers ---------------------------------------------------
-    def features_seq(self, states: np.ndarray) -> List[Tensor]:
-        """Run a (B, L, D) batch through the trunk; returns L feature tensors."""
-        b, l, _ = states.shape
-        h = self.initial_state(b)
-        feats: List[Tensor] = []
-        for t in range(l):
-            pre = self.pre(Tensor(states[:, t, :]))
-            g, h = self.recurrent(pre, h)
-            feats.append(self.post(g))
-        return feats
-
-    def recurrent_seq(self, states: np.ndarray) -> List[Tensor]:
-        """Like :meth:`features_seq` but stops before :meth:`post` — used by
-        the critic, which injects the action between the stages."""
-        b, l, _ = states.shape
-        h = self.initial_state(b)
-        outs: List[Tensor] = []
-        for t in range(l):
-            pre = self.pre(Tensor(states[:, t, :]))
-            g, h = self.recurrent(pre, h)
-            outs.append(g)
-        return outs
-
     # -- fused sequence path ------------------------------------------------
-    # The per-timestep helpers above build one autograd subgraph per (t,
-    # layer) pair; at (B=16, L=8) that is hundreds of closure nodes per
-    # train step and the interpreter dominates the math. The fused path
-    # folds every non-recurrent stage over all timesteps at once and leaves
-    # only the GRU's L hidden products sequential. Rows are t-major: row
-    # ``t * B + i`` of the flat result is batch row i at timestep t.
+    # Training runs whole (B, L) sequence batches. Stepping the stages above
+    # once per timestep would build one autograd subgraph per (t, layer)
+    # pair; at (B=16, L=8) that is hundreds of closure nodes per train step
+    # and the interpreter dominates the math. The fused path folds every
+    # non-recurrent stage over all timesteps at once and leaves only the
+    # GRU's L hidden products sequential. Rows are t-major: row
+    # ``t * B + i`` of the flat result is batch row i at timestep t. (The
+    # per-timestep unrolling survives as the test oracle,
+    # ``tests/crr_oracle.py``.)
 
     def recurrent_flat(self, states: np.ndarray) -> Tensor:
         """``(B, L, D)`` states -> ``(L*B, H)`` recurrent features, fused."""
@@ -169,9 +148,6 @@ class SagePolicy(Module):
         self.head = GMMHead(cfg.enc_dim, n_comp, rng)
 
     # -- training-time API -------------------------------------------------
-    def features_seq(self, states: np.ndarray) -> List[Tensor]:
-        return self.trunk.features_seq(states)
-
     def features_seq_fused(self, states: np.ndarray) -> Tensor:
         """Fused ``(B, L, D) -> (L*B, E)`` features (t-major rows)."""
         return self.trunk.features_seq_fused(states)
@@ -211,10 +187,6 @@ class SageCritic(Module):
         self.head = DistributionalHead(
             cfg.enc_dim, rng, n_atoms=cfg.n_atoms, v_min=cfg.v_min, v_max=cfg.v_max
         )
-
-    def recurrent_seq(self, states: np.ndarray) -> List[Tensor]:
-        """Per-step recurrent features (action-independent, reusable)."""
-        return self.trunk.recurrent_seq(states)
 
     def recurrent_seq_fused(self, states: np.ndarray) -> Tensor:
         """Fused ``(B, L, D) -> (L*B, H)`` recurrent features (t-major).

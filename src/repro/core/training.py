@@ -4,8 +4,9 @@ Three phases, mirroring Fig. 3:
 
 1. :func:`collect_pool` — run every pool scheme through every environment
    *once*; after this the environments are "unplugged".
-2. :func:`train_sage_on_pool` — fully-offline CRR training, with periodic
-   checkpoints standing in for the paper's per-day snapshots (Fig. 7).
+2. :func:`train_sage_on_pool` — fully-offline CRR training on
+   :class:`~repro.train.engine.FastCRRTrainer`, with periodic checkpoints
+   standing in for the paper's per-day snapshots (Fig. 7).
 3. Deployment — the returned :class:`~repro.core.agent.SageAgent`.
 """
 
@@ -138,7 +139,6 @@ def train_sage_on_pool(
     crr_config: Optional[CRRConfig] = None,
     seed: int = 0,
     log_every: int = 0,
-    grad_workers: int = 0,
     chaos=None,
     guard=None,
 ) -> TrainingRun:
@@ -148,22 +148,18 @@ def train_sage_on_pool(
     daily checkpoints in Fig. 7: day ``k`` ends at step
     ``(k + 1) * n_steps // n_checkpoints``, so the last one is ``n_steps``.
 
-    Training runs on :class:`~repro.train.engine.FastCRRTrainer`.
-    ``grad_workers > 0`` trains through N data-parallel gradient processes
-    — the :class:`~repro.train.parallel.DataParallelTrainer`. Results are
-    bit-identical for any worker count dividing the grain width, but on a
-    *different* (per-(step, grain)) seed stream than ``grad_workers=0``.
+    Training runs on :class:`~repro.train.engine.FastCRRTrainer`, the
+    learner's one engine; ``chaos`` and ``guard`` are passed through to it.
     """
     if n_steps < n_checkpoints:
         raise ValueError("need at least one step per checkpoint")
-    from repro.train import make_trainer
+    from repro.train.engine import FastCRRTrainer
 
-    trainer = make_trainer(
+    trainer = FastCRRTrainer(
         pool,
         net_config=net_config,
         config=crr_config,
         seed=seed,
-        grad_workers=grad_workers,
         chaos=chaos,
     )
     run = TrainingRun(
@@ -175,11 +171,9 @@ def train_sage_on_pool(
         trainer.train(end - trainer.steps_done, log_every=log_every, guard=guard)
         run.checkpoints.append(trainer.policy.state_dict())
         run.checkpoint_steps.append(trainer.steps_done)
-    # stop gradient-worker processes, then release the pool's concat cache
-    # (a second full copy of every trajectory for an in-memory pool, open
-    # shard handles for a sharded one) rather than pinning either for the
-    # process lifetime
-    trainer.close()
+    # release the pool's concat cache (a second full copy of every
+    # trajectory for an in-memory pool, open shard handles for a sharded
+    # one) rather than pinning either for the process lifetime
     if hasattr(pool, "drop_cache"):
         pool.drop_cache()
     return run

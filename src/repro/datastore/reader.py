@@ -177,25 +177,6 @@ class ShardedPool:
             cache=self.cache,
         )
 
-    def grain_view(self, index: int, count: int) -> "ShardedPool":
-        """Round-robin slice ``index`` of ``count`` (see
-        :meth:`~repro.collector.pool.PolicyPool.grain_view`).
-
-        Unlike the filter views, a grain view gets its own **private**
-        shard cache: a data-parallel worker process sampling only its
-        grains maps only the shards those grains' trajectories live in,
-        so each worker's resident set is its slice of the store, not the
-        whole store.
-        """
-        if not 0 <= index < count:
-            raise ValueError(f"grain index {index} outside [0, {count})")
-        return ShardedPool(
-            self.root,
-            self.manifest,
-            records=self.records[index::count],
-            cache=ShardCache(self.root, self.manifest, max_open=self.cache.max_open),
-        )
-
     def sample_sequences(
         self,
         batch_size: int,

@@ -136,7 +136,8 @@ class DistributionalHead(Module):
         tz = np.clip(
             rewards[:, None] + gamma * self.atoms[None, :], self.v_min, self.v_max
         )
-        pos = (tz - self.v_min) / self.delta
+        # v_max can divide to a hair above the top index: keep it in range
+        pos = np.minimum((tz - self.v_min) / self.delta, self.n_atoms - 1)
         lower = np.floor(pos).astype(int)
         upper = np.ceil(pos).astype(int)
         target = np.zeros((b, self.n_atoms))

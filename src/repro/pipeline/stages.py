@@ -65,10 +65,6 @@ class PipelineConfig:
     n_atoms: int = 7
     max_rollbacks: int = 3
     snapshot_every: int = 1
-    #: data-parallel gradient workers: 0 = single-process FastCRRTrainer,
-    #: N >= 1 spawns a DataParallelTrainer (N must divide its grain count;
-    #: the checkpoint records the layout, so resume keeps it)
-    grad_workers: int = 0
     # evaluation
     eval_duration: float = 3.0
     # fault injection: path to a FaultPlan JSON (None = no chaos)
@@ -322,18 +318,16 @@ def _stage_train(ctx: Dict) -> Dict:
     and training restarts from scratch.
     """
     from repro.datastore.reader import ShardedPool
-    from repro.train import make_trainer
+    from repro.train.engine import FastCRRTrainer
     from repro.train.guard import DivergenceGuard, GuardConfig
 
     cfg: PipelineConfig = ctx["config"]
     events: List[Dict] = []
     pool = ShardedPool.open(cfg.store_dir)
-    trainer = None
     try:
-        trainer = make_trainer(
+        trainer = FastCRRTrainer(
             pool, net_config=_net_config(cfg), config=_crr_config(cfg),
-            seed=cfg.train_seed, grad_workers=cfg.grad_workers,
-            chaos=ctx.get("chaos"),
+            seed=cfg.train_seed, chaos=ctx.get("chaos"),
         )
         if cfg.checkpoint_path.exists():
             try:
@@ -380,24 +374,11 @@ def _stage_train(ctx: Dict) -> Dict:
                               "and replayed clean",
                 }
             )
-        respawns = getattr(trainer, "respawns", 0)
-        if respawns:
-            events.append(
-                {
-                    "kind": "train-worker-crash",
-                    "detail": f"{respawns} gradient worker(s) died "
-                              "mid-step",
-                    "action": "respawned and replayed the step from the "
-                              "same grain seeds (bit-identical recovery)",
-                }
-            )
         history = {
             k: (float(v[-1]) if len(v) else None)
             for k, v in trainer.history.items()
         }
     finally:
-        if trainer is not None:
-            trainer.close()  # stops gradient workers too
         pool.drop_cache()
     return {
         "steps_done": trainer.steps_done,

@@ -13,16 +13,19 @@ at the default ``(B=16, L=8)`` scale the Python op dispatch — not the math
   with the fused autograd path for the two gradient losses, plus ``.npz``
   checkpoint/resume and per-phase timing. A per-timestep oracle in
   ``tests/crr_oracle.py`` pins its random stream and losses.
-- :mod:`~repro.train.parallel` — :class:`DataParallelTrainer`, N gradient
-  worker processes over per-(step, grain) seed streams with a canonical
-  grain-order all-reduce: bit-identical results for any worker count.
-  :func:`make_trainer` picks between the two engines by ``grad_workers``.
+- :mod:`~repro.train.guard` — the divergence guard that rolls a poisoned
+  step back to the last clean snapshot.
+
+It is the only engine: every network in ``src/`` that trains, the BC,
+Indigo and Aurora baselines included, runs on the fused sequence path, in
+one process. At the batch sizes the repo trains, splitting a step over
+gradient worker processes costs more in communication than it saves
+(measured in ``docs/architecture.md``, "One engine").
 
 Step throughput is measured from outside the package, by
 ``python3 benchmarks/e2e/run.py --workload store_train``.
 """
 
 from repro.train.engine import FastCRRTrainer
-from repro.train.parallel import DataParallelTrainer, make_trainer
 
-__all__ = ["DataParallelTrainer", "FastCRRTrainer", "make_trainer"]
+__all__ = ["FastCRRTrainer"]

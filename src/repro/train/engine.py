@@ -25,6 +25,10 @@ rounding difference is a sampled mixture component or binary-filter
 indicator flipping across the boundary, which at float64 has negligible
 probability per step. ``tests/test_train_engine.py`` pins this tolerance
 and ``tests/test_learner_golden.py`` pins the engine's own digests.
+
+This is the learner's only engine: ``train_sage_on_pool``, the pipeline's
+train stage, the Fig. 12 ablations and OnlineRL all construct it
+directly, in one process.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ class FastCRRTrainer:
         Optional :class:`~repro.chaos.inject.FaultInjector`; pending
         ``train.*`` faults (NaN / reward-spike batches) poison the matching
         sampled batch — the corruption a
-        :class:`~repro.train.guard.DivergenceGuard` must catch.
+        :class:`~repro.train.guard.DivergenceGuard` must catch. A batch
+        with non-finite rewards or states, or non-finite Bellman target
+        probabilities, stops the step with a ``FloatingPointError`` that
+        names the batch index, before the C51 projection sees it.
     ``rss_soft_limit_mb``
         Optional RSS watermark: crossing it drops the pool's hot-shard
         cache (recomputable state) instead of letting a long training run
@@ -113,13 +120,6 @@ class FastCRRTrainer:
             )
             if hasattr(pool, "drop_cache"):
                 self.memory_guard.add_valve("pool.drop_cache", pool.drop_cache)
-        #: Worker layout, recorded in checkpoints: ``(0, 0)`` for this
-        #: single-process engine; :class:`~repro.train.parallel
-        #: .DataParallelTrainer` overrides with ``(N, grains)``. The layout
-        #: is part of the determinism contract (it selects the RNG-stream
-        #: decomposition), so resuming under a different one is refused.
-        self.grad_workers = 0
-        self.grad_grains = 0
         #: batches drawn so far: the index chaos batch faults target, and
         #: checkpointed as ``meta/batch_index``
         self.batch_index = 0
@@ -155,9 +155,8 @@ class FastCRRTrainer:
         )
 
     def close(self) -> None:
-        """Release worker resources: nothing in this single-process engine;
-        :class:`~repro.train.parallel.DataParallelTrainer` stops its
-        gradient processes."""
+        """A no-op, kept so callers may release a trainer like any other
+        resource: the engine holds no processes, files or threads."""
 
     def timing_summary(self) -> Dict[str, float]:
         """Steps/sec plus the per-phase second totals."""
@@ -169,10 +168,10 @@ class FastCRRTrainer:
         return out
 
     # ------------------------------------------------------------------
-    # The step is split into gradient phases so the data-parallel engine
-    # can run each phase on a batch *slice* in a worker process and keep
-    # the optimizer/Polyak mutations in the parent. Op order is unchanged
-    # from the original monolithic step — results are bit-identical.
+    # The step is split into gradient phases, each leaving its gradients on
+    # the networks, with the optimizer/Polyak mutations in train_step, so a
+    # subclass can replace one loss alone (OnlineRLTrainer overrides
+    # _policy_backward). Op order is that of one monolithic step.
     def _batch_context(self, batch: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Flat views shared by both gradient phases of one batch."""
         states = batch["states"]  # (B, L, D), already normalized
@@ -195,8 +194,7 @@ class FastCRRTrainer:
         """Bellman targets + Eq. 5 critic loss/backward (no optimizer step).
 
         Leaves the loss gradients on ``self.critic``'s parameters and
-        returns the scalar loss; the caller clips and applies the update
-        (locally here, after an all-reduce in the parallel engine).
+        returns the scalar loss; the caller clips and applies the update.
         """
         cfg = self.cfg
         bufs = self._bufs
@@ -228,6 +226,11 @@ class FastCRRTrainer:
             self.target_critic, tgt_rec, log_action(a_next), bufs, "tcrit", p=p_tcrit
         )
         next_p = softmax_np(next_logits, out=bufs.get("tcrit.p", next_logits.shape))
+        if not np.isfinite(next_p).all():
+            raise FloatingPointError(
+                f"training batch {self.batch_index - 1}: the target networks "
+                "gave non-finite Bellman target probabilities"
+            )
         rewards_flat = np.ascontiguousarray(ctx["rewards"].T).reshape(n)
         target_probs = fp.project_target(
             self.critic.head, rewards_flat, cfg.gamma, next_p
@@ -331,6 +334,14 @@ class FastCRRTrainer:
         if self._chaos is not None:
             # sampled arrays are copies, mutation is safe
             self._chaos.mutate_batch(self.batch_index - 1, batch)
+        # checked before any math: a NaN reward would otherwise reach the
+        # C51 projection's integer bin indices
+        for key in ("rewards", "states", "next_states"):
+            if not np.isfinite(batch[key]).all():
+                raise FloatingPointError(
+                    f"training batch {self.batch_index - 1} has non-finite "
+                    f"{key}"
+                )
         ctx = self._batch_context(batch)
         self.phase_seconds["sample"] += time.perf_counter() - t0
 
@@ -405,12 +416,19 @@ class FastCRRTrainer:
                 try:
                     metrics = self.train_step()
                 except (ValueError, ArithmeticError) as exc:
-                    # poisoned numbers can crash the step outright (NaN
-                    # rewards break the C51 projection) — same recovery
+                    # a poisoned batch stops the step before any metrics
+                    # exist: non-finite inputs or targets are refused up
+                    # front (FloatingPointError); any other numeric crash
+                    # is a step failure — same recovery either way
                     guard.record_failure(
                         self.steps_done,
                         f"{type(exc).__name__}: {exc}",
                         restored_step=restored,
+                        reason=(
+                            "non-finite"
+                            if isinstance(exc, FloatingPointError)
+                            else "step-failure"
+                        ),
                     )
                     self.restore_state(snapshot)
                     continue
@@ -466,8 +484,11 @@ class FastCRRTrainer:
                 payload[f"{prefix}/m{i}"] = m
                 payload[f"{prefix}/v{i}"] = v
         payload["meta/steps_done"] = np.array([self.steps_done], dtype=np.int64)
-        payload["meta/grad_workers"] = np.array([self.grad_workers], dtype=np.int64)
-        payload["meta/grad_grains"] = np.array([self.grad_grains], dtype=np.int64)
+        # constant zeros: the single-process layout, kept so the archive's
+        # bytes match checkpoints written while a data-parallel engine
+        # existed (see _apply_payload)
+        payload["meta/grad_workers"] = np.zeros(1, dtype=np.int64)
+        payload["meta/grad_grains"] = np.zeros(1, dtype=np.int64)
         payload["meta/batch_index"] = np.array([self.batch_index], dtype=np.int64)
         payload["meta/rng_state"] = np.array(
             json.dumps(self.rng.bit_generator.state)
@@ -477,24 +498,20 @@ class FastCRRTrainer:
         return payload
 
     def _apply_payload(self, data, keys) -> None:
-        # The worker layout selects the RNG-stream decomposition (one
-        # trainer stream vs per-(step, grain) streams), so a checkpoint is
-        # only resumable under the layout that wrote it. Checked before any
-        # state is mutated. Pre-parallel checkpoints carry no layout keys
-        # and mean the single-process layout (0, 0).
-        saved_workers = (
-            int(data["meta/grad_workers"][0]) if "meta/grad_workers" in keys else 0
+        # A non-zero worker layout means an older revision's data-parallel
+        # engine wrote the checkpoint, on per-(step, grain) RNG streams this
+        # engine cannot continue. Checked before any state is mutated.
+        # Checkpoints older than the layout keys mean layout (0, 0).
+        layout = tuple(
+            int(data[k][0]) if k in keys else 0
+            for k in ("meta/grad_workers", "meta/grad_grains")
         )
-        saved_grains = (
-            int(data["meta/grad_grains"][0]) if "meta/grad_grains" in keys else 0
-        )
-        if (saved_workers, saved_grains) != (self.grad_workers, self.grad_grains):
+        if layout != (0, 0):
             raise ValueError(
-                f"checkpoint was saved with --grad-workers {saved_workers} "
-                f"(grains={saved_grains}) but this trainer runs "
-                f"--grad-workers {self.grad_workers} "
-                f"(grains={self.grad_grains}); the worker layout is part of "
-                "the determinism contract — resume with the same layout"
+                "checkpoint was written by a data-parallel run "
+                f"(meta/grad_workers={layout[0]}, "
+                f"meta/grad_grains={layout[1]}), which this single-process "
+                "engine cannot resume bit-identically; retrain from step 0"
             )
         nets = (
             ("policy", self.policy),

@@ -351,7 +351,9 @@ def project_target(
     """
     n, k = next_probs.shape
     tz = np.clip(rewards[:, None] + gamma * head.atoms[None, :], head.v_min, head.v_max)
-    pos = (tz - head.v_min) / head.delta
+    # v_max can divide to a hair above the top index (e.g. 29.000000000000004
+    # at 30 atoms over [0, 50]); its ceil would land in the next row's bins
+    pos = np.minimum((tz - head.v_min) / head.delta, k - 1)
     lower = np.floor(pos).astype(np.int64)
     upper = np.ceil(pos).astype(np.int64)
     lower_w = next_probs * ((upper - pos) + (lower == upper))

@@ -11,9 +11,10 @@ guard watches every step's metrics for two failure signatures:
   ``spike_factor`` times its own exponential moving average (the step
   regressed violently even though the numbers are still finite);
 
-plus a third the engine reports directly: a **step failure**, where the
-poisoned numbers crashed the training step with a numeric exception before
-any metrics existed (e.g. NaN rewards breaking the C51 projection).
+plus two the engine reports directly, before any metrics exist: a batch
+whose rewards, states or Bellman target probabilities are not finite (also
+**non-finite**; the engine refuses it before the C51 projection), and a
+**step failure**, where the step raised any other numeric exception.
 
 On detection the training engine restores its last good snapshot —
 networks, optimizer moments, RNG state, batch index, metric history —
@@ -162,16 +163,22 @@ class DivergenceGuard:
         return self._spend_budget(problem)
 
     def record_failure(
-        self, step: int, detail: str, restored_step: int = 0
+        self,
+        step: int,
+        detail: str,
+        restored_step: int = 0,
+        reason: str = "step-failure",
     ) -> RollbackEvent:
         """A training step *raised* instead of returning metrics.
 
+        ``reason`` is ``"non-finite"`` when the engine refused a batch's
+        non-finite numbers, ``"step-failure"`` for any other exception.
         Counts against the same rollback budget as metric-level detection;
         raises :class:`TrainingDiverged` when none is left.
         """
         return self._spend_budget(
             RollbackEvent(
-                step=step, reason="step-failure",
+                step=step, reason=reason,
                 detail=detail, restored_step=restored_step,
             )
         )

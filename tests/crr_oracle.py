@@ -7,12 +7,18 @@ check :class:`~repro.train.engine.FastCRRTrainer` against: with the same
 seed both draw the identical random stream, and their metric trajectories
 agree within the engine contract's 1e-6 relative tolerance
 (``tests/test_train_engine.py``). Nothing in ``src/`` trains on it.
+
+:func:`features_seq` and :func:`recurrent_seq` are its per-timestep
+network path: the trunk's ``pre`` / ``recurrent`` / ``post`` stages
+stepped once per timestep, the way ``SagePolicy.step`` runs them at
+deployment. ``src/`` trains on the fused ``features_seq_fused`` /
+``recurrent_seq_fused`` instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -23,6 +29,26 @@ from repro.core.networks import NetworkConfig, SageCritic, SagePolicy, log_actio
 from repro.nn.autograd import Tensor, no_grad, stack_rows
 from repro.nn.functional import softmax_np
 from repro.nn.optim import Adam, clip_grad_norm
+
+
+def recurrent_seq(net, states: np.ndarray) -> List[Tensor]:
+    """A ``(B, L, D)`` batch through ``net.trunk`` up to the recurrent
+    stage, one timestep at a time: L ``(B, H)`` tensors. The critic injects
+    the action after this stage."""
+    trunk = net.trunk
+    b, l, _ = states.shape
+    h = trunk.initial_state(b)
+    outs: List[Tensor] = []
+    for t in range(l):
+        g, h = trunk.recurrent(trunk.pre(Tensor(states[:, t, :])), h)
+        outs.append(g)
+    return outs
+
+
+def features_seq(net, states: np.ndarray) -> List[Tensor]:
+    """A ``(B, L, D)`` batch through the whole trunk of ``net``, one
+    timestep at a time: L ``(B, E)`` feature tensors."""
+    return [net.trunk.post(g) for g in recurrent_seq(net, states)]
 
 
 class CRRTrainer:
@@ -88,8 +114,8 @@ class CRRTrainer:
 
         # ---- targets (no gradients) -----------------------------------
         with no_grad():
-            tgt_pol_feats = self.target_policy.features_seq(next_states)
-            tgt_rec = self.target_critic.recurrent_seq(next_states)
+            tgt_pol_feats = features_seq(self.target_policy, next_states)
+            tgt_rec = recurrent_seq(self.target_critic, next_states)
             target_probs = np.empty((b, l, self.critic.head.n_atoms))
             for t in range(l):
                 a_next = self.target_policy.sample(tgt_pol_feats[t], self.rng)
@@ -100,7 +126,7 @@ class CRRTrainer:
                 )
 
         # ---- policy evaluation (critic update, Eq. 5) -------------------
-        rec = self.critic.recurrent_seq(states)
+        rec = recurrent_seq(self.critic, states)
         critic_losses = []
         for t in range(l):
             feats = self.critic.q_features(rec[t], log_a[:, t])
@@ -118,9 +144,9 @@ class CRRTrainer:
         # head's sample() runs under no_grad) and the improvement step below
         # (gradients) — the filter must NOT reuse the critic features from
         # the evaluation step though, because the critic was just updated.
-        pol_feats = self.policy.features_seq(states)
+        pol_feats = features_seq(self.policy, states)
         with no_grad():
-            rec_ng = self.critic.recurrent_seq(states)
+            rec_ng = recurrent_seq(self.critic, states)
             f = np.empty((b, l))
             for t in range(l):
                 q_data = self.critic.q_value(rec_ng[t], log_a[:, t]).data

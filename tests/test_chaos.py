@@ -15,6 +15,8 @@ The contract under test, subsystem by subsystem:
   sender (heuristic fallback + invalid-action accounting).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,8 @@ class TestTrainChaos:
         )
 
     def test_nan_batch_rolled_back_bit_identical(self):
+        # the NaN batch is refused before any math touches it: no numpy
+        # RuntimeWarning, and the guard names it for what it is
         clean = self._trainer()
         clean.train(8)
         chaos = FaultInjector(
@@ -355,15 +359,43 @@ class TestTrainChaos:
         )
         guard = DivergenceGuard(GuardConfig())
         faulty = self._trainer(chaos=chaos)
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             faulty.train(8, guard=guard)
         assert chaos.exhausted
         assert guard.rollbacks_used == 1
-        assert guard.events[0].reason in ("step-failure", "non-finite")
+        assert guard.events[0].reason == "non-finite"
+        assert "batch 4" in guard.events[0].detail
         a, b = clean._state_payload(), faulty._state_payload()
         assert set(a) == set(b)
         for key in a:
             assert a[key].tobytes() == b[key].tobytes(), key
+
+    def test_nan_batch_without_guard_names_the_batch(self):
+        chaos = FaultInjector(
+            FaultPlan(seed=0, faults=[FaultSpec("train.nan", target=2)])
+        )
+        trainer = self._trainer(chaos=chaos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                FloatingPointError, match="batch 2 has non-finite rewards"
+            ):
+                trainer.train(4)
+        assert trainer.steps_done == 2
+
+    def test_non_finite_bellman_targets_refused(self):
+        # a diverged target critic: finite batch, NaN target distribution
+        trainer = self._trainer()
+        trainer.train(1)
+        name, param = next(iter(trainer.target_critic.named_parameters()))
+        param.data = np.full_like(param.data, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(
+                FloatingPointError, match="batch 1: .*Bellman target"
+            ):
+                trainer.train_step()
 
     def test_spike_batch_absorbed_without_divergence(self):
         # Every batch input is sanitized on entry (log_action clips ratios,

@@ -265,7 +265,7 @@ class TestChaosPipelineCli:
         assert status["complete"]
         assert [s["status"] for s in status["stages"]] == ["done"] * 4
         kinds = {f["kind"] for f in status["faults"]}
-        assert {"crash", "corrupt-shard", "store-repair", "train-step-failure"} <= kinds
+        assert {"crash", "corrupt-shard", "store-repair", "train-non-finite"} <= kinds
 
         # lose the checkpoint: resume takes the config (steps, seed, fault
         # plan) from the journal, retrains, and lands on the same bytes

@@ -16,6 +16,7 @@ from repro.core.networks import (
 )
 from repro.nn.autograd import Tensor, no_grad
 from repro.train.engine import FastCRRTrainer
+from tests.crr_oracle import features_seq, recurrent_seq
 
 RNG = np.random.default_rng(0)
 TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=2, n_atoms=7)
@@ -39,31 +40,53 @@ def synthetic_pool(rng, n_traj=6, length=24, good_action=1.1):
 
 class TestNetworks:
     def test_policy_sequence_shapes(self):
+        # fused rows are t-major: (B, L, D) -> (L*B, E)
         pol = SagePolicy(TINY, RNG)
-        feats = pol.features_seq(np.zeros((3, 5, STATE_DIM)))
-        assert len(feats) == 5
-        assert feats[0].shape == (3, TINY.enc_dim)
+        feats = pol.features_seq_fused(np.zeros((3, 5, STATE_DIM)))
+        assert feats.shape == (15, TINY.enc_dim)
 
     def test_policy_log_prob_finite(self):
         pol = SagePolicy(TINY, RNG)
-        feats = pol.features_seq(np.zeros((4, 2, STATE_DIM)))
-        lp = pol.log_prob(feats[0], np.zeros(4))
+        feats = pol.features_seq_fused(np.zeros((4, 2, STATE_DIM)))
+        lp = pol.log_prob(feats, np.zeros(8))
+        assert lp.shape == (8,)
         assert np.all(np.isfinite(lp.data))
 
     def test_critic_q_shapes(self):
         critic = SageCritic(TINY, RNG)
-        rec = critic.recurrent_seq(np.zeros((3, 4, STATE_DIM)))
-        q = critic.q_value(rec[0], np.zeros(3))
-        assert q.shape == (3,)
-        logits = critic.q_logits(rec[0], np.zeros(3))
-        assert logits.shape == (3, TINY.n_atoms)
+        rec = critic.recurrent_seq_fused(np.zeros((3, 4, STATE_DIM)))
+        assert rec.shape == (12, TINY.gru_dim)
+        q = critic.q_value(rec, np.zeros(12))
+        assert q.shape == (12,)
+        logits = critic.q_logits(rec, np.zeros(12))
+        assert logits.shape == (12, TINY.n_atoms)
 
     def test_q_depends_on_action(self):
         critic = SageCritic(TINY, RNG)
-        rec = critic.recurrent_seq(np.ones((2, 1, STATE_DIM)))
-        q1 = critic.q_value(rec[0], np.full(2, -0.5)).data
-        q2 = critic.q_value(rec[0], np.full(2, 0.5)).data
+        rec = critic.recurrent_seq_fused(np.ones((2, 1, STATE_DIM)))
+        q1 = critic.q_value(rec, np.full(2, -0.5)).data
+        q2 = critic.q_value(rec, np.full(2, 0.5)).data
         assert not np.allclose(q1, q2)
+
+    @pytest.mark.parametrize("use_gru", [True, False])
+    def test_fused_rows_match_per_timestep_oracle(self, use_gru):
+        # row t*B + i of the fused path is batch row i at timestep t of
+        # the per-timestep stages, to float rounding
+        from dataclasses import replace
+
+        cfg = replace(TINY, use_gru=use_gru)
+        rng = np.random.default_rng(3)
+        pol, critic = SagePolicy(cfg, rng), SageCritic(cfg, rng)
+        states = rng.standard_normal((3, 4, STATE_DIM))
+        for fused, steps in (
+            (pol.features_seq_fused(states), features_seq(pol, states)),
+            (critic.recurrent_seq_fused(states), recurrent_seq(critic, states)),
+        ):
+            assert len(steps) == 4
+            np.testing.assert_allclose(
+                fused.data, np.concatenate([s.data for s in steps]),
+                rtol=1e-12, atol=1e-12,
+            )
 
     @pytest.mark.parametrize(
         "flag", ["use_gru", "use_post_encoder", "use_gmm"]
@@ -73,9 +96,9 @@ class TestNetworks:
 
         cfg = replace(TINY, **{flag: False})
         pol = SagePolicy(cfg, np.random.default_rng(1))
-        feats = pol.features_seq(np.zeros((2, 3, STATE_DIM)))
-        ratios = pol.mode(feats[-1])
-        assert ratios.shape == (2,)
+        feats = pol.features_seq_fused(np.zeros((2, 3, STATE_DIM)))
+        ratios = pol.mode(feats)
+        assert ratios.shape == (6,)
 
     def test_no_gmm_has_single_component(self):
         from dataclasses import replace
@@ -163,7 +186,7 @@ class TestCRR:
         cfg = CRRConfig(batch_size=8, seq_len=4, lr_policy=1e-3, lr_critic=1e-3)
         t = FastCRRTrainer(pool, net_config=TINY, config=cfg, seed=1)
         t.train(150)
-        feats = t.policy.features_seq(np.zeros((8, 3, STATE_DIM)))
+        feats = features_seq(t.policy, np.zeros((8, 3, STATE_DIM)))
         lp_good = t.policy.log_prob(feats[-1], log_action(np.full(8, 1.1))).data
         lp_bad = t.policy.log_prob(feats[-1], log_action(np.full(8, 1.8))).data
         assert lp_good.mean() > lp_bad.mean()

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.autograd import Tensor
 from repro.nn.heads import DistributionalHead, GMMHead, LOG_ACTION_HI, LOG_ACTION_LO
+from repro.train import fastpath as fp
 
 
 def make_gmm():
@@ -105,3 +106,91 @@ class TestC51Properties:
         target = c51.project_target(np.array([5.0]), 0.0, probs)
         mean = (target * c51.atoms).sum()
         assert mean == pytest.approx(5.0)
+
+
+# -- the training engine's vectorized projection (train/fastpath.py) --------
+
+#: an atom grid: (n_atoms, v_min, v_max)
+_grids = st.tuples(
+    st.integers(2, 51),
+    st.floats(-50.0, 50.0),
+    st.floats(0.1, 100.0),
+).map(lambda g: (g[0], g[1], g[1] + g[2]))
+
+
+def _c51(grid):
+    n_atoms, v_min, v_max = grid
+    return DistributionalHead(
+        4, np.random.default_rng(0), n_atoms=n_atoms, v_min=v_min, v_max=v_max
+    )
+
+
+class TestFastProjectionProperties:
+    """Closed-form properties of ``fastpath.project_target`` (C51, Eq. 5)
+    over rewards, discounts and atom grids."""
+
+    @given(
+        grid=_grids,
+        rewards=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6),
+        gamma=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    # 30 atoms over [0, 50]: v_max divides to 29.000000000000004, whose
+    # ceil once spilled the top atom's mass into the next row
+    @example(grid=(30, 0.0, 50.0), rewards=[0.0, 0.0], gamma=1.0, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_has_unit_mass(self, grid, rewards, gamma, seed):
+        head = _c51(grid)
+        r = np.asarray(rewards)
+        probs = np.random.default_rng(seed).dirichlet(
+            np.ones(head.n_atoms), size=len(r)
+        )
+        target = fp.project_target(head, r, gamma, probs)
+        assert target.shape == probs.shape
+        assert np.all(target >= 0.0)
+        np.testing.assert_allclose(target.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @given(
+        grid=_grids,
+        u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        gamma=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mean_is_the_bellman_mean_when_nothing_clips(
+        self, grid, u, gamma, seed
+    ):
+        head = _c51(grid)
+        # r + gamma * z stays inside [v_min, v_max] for every atom z
+        lo, hi = head.v_min * (1 - gamma), head.v_max * (1 - gamma)
+        r = lo + np.asarray(u) * (hi - lo)
+        probs = np.random.default_rng(seed).dirichlet(
+            np.ones(head.n_atoms), size=len(r)
+        )
+        target = fp.project_target(head, r, gamma, probs)
+        expected = r + gamma * (probs * head.atoms).sum(axis=1)
+        scale = max(abs(head.v_min), abs(head.v_max))
+        np.testing.assert_allclose(
+            (target * head.atoms).sum(axis=1), expected,
+            rtol=0, atol=1e-12 * scale * head.n_atoms,
+        )
+
+    @given(
+        grid=_grids,
+        reward=st.floats(-200.0, 200.0),
+        gamma=st.floats(0.0, 1.0),
+        atom=st.integers(0, 50),
+    )
+    @example(grid=(30, 0.0, 50.0), reward=0.0, gamma=1.0, atom=29)
+    @settings(max_examples=200, deadline=None)
+    def test_dirac_lands_on_at_most_two_adjacent_atoms(
+        self, grid, reward, gamma, atom
+    ):
+        head = _c51(grid)
+        probs = np.zeros((1, head.n_atoms))
+        probs[0, atom % head.n_atoms] = 1.0
+        target = fp.project_target(head, np.array([reward]), gamma, probs)[0]
+        hit = np.flatnonzero(target)
+        assert 1 <= len(hit) <= 2
+        if len(hit) == 2:
+            assert hit[1] - hit[0] == 1
