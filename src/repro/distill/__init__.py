@@ -2,9 +2,10 @@
 
 Compresses the GRU policy's deterministic serving path into a branchy
 CART controller (per *Symbolic Distillation for Learned TCP Congestion
-Control*) that answers in microseconds. The serving engine mounts it as
-tier 0 of the tiered router; flows whose leaf confidence clears the
-calibrated gate never pay the batched NN forward.
+Control*) that answers a whole batch in one fixed-depth walk. The
+serving engine mounts it as tier 0 of the tiered router; flows whose
+leaf confidence clears the calibrated gate never pay the batched NN
+forward.
 """
 
 from repro.distill.dataset import (

@@ -100,9 +100,21 @@ class DistilledPolicy:
         x_norm = np.asarray(x_norm, dtype=np.float64)
         if x_norm.ndim == 1:
             x_norm = x_norm[None, :]
-        feats = np.concatenate(
-            [x_norm, hidden_summary(h, len(x_norm))], axis=1
-        )
+        return self.predict_summarized(x_norm, hidden_summary(h, len(x_norm)))
+
+    def summarize(self, h: np.ndarray) -> np.ndarray:
+        """The ``(N, 8)`` hidden-state features of ``(N, H)`` hidden rows,
+        exactly as :meth:`predict` computes them (``H == 0``, the no-GRU
+        ablation, gives zeros)."""
+        return hidden_summary(h if h.shape[1] else None, len(h))
+
+    def predict_summarized(
+        self, x_norm: np.ndarray, h_summary: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict` for callers that already hold the
+        :meth:`summarize` of the hidden rows (the serving engine caches it
+        per flow, since a row changes only when the NN answers it)."""
+        feats = np.concatenate([x_norm, h_summary], axis=1)
         values, confs = self.tree.predict(feats)
         return np.exp(values), confs
 

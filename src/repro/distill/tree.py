@@ -2,9 +2,9 @@
 
 The distilled symbolic controller is a single regression tree over
 (GR-state, hidden-summary) features predicting the policy's log cwnd
-ratio. A tree answers in a handful of float comparisons — microseconds
-for a whole serving batch — which is what lets the tiered router keep the
-batched GRU forward off the common path.
+ratio. A tree answers in ``depth`` float comparisons per row — one
+gather per level for a whole serving batch — which is what lets the
+tiered router keep the batched GRU forward off the common path.
 
 Fitting is classic greedy CART with two twists sized for this repo:
 
@@ -21,8 +21,11 @@ Every leaf stores the training-set standard deviation of its targets;
 ``1 / (1 + std)`` — the uncertainty gate the serving router thresholds on.
 
 The fitted tree is frozen into flat arrays (feature index, threshold,
-child indices, leaf value/confidence), so batched prediction is a short
-``depth``-step gather loop over the whole batch at once.
+child indices, leaf value/confidence). Construction validates them once
+(children in range, features in range, no cycle, the stored depth equal
+to the real one) and compiles a branch-free walk: leaves become
+self-loops, so batched prediction is exactly ``depth`` gather steps over
+the whole batch with no per-level masking.
 """
 
 from __future__ import annotations
@@ -106,10 +109,15 @@ class RegressionTree:
     ``feature[i] == -1`` marks node ``i`` as a leaf; internal nodes route
     ``x[feature] <= threshold`` left. Leaves carry ``value`` (mean training
     target) and ``conf`` (``1 / (1 + std)`` of training targets).
+
+    The constructor refuses (``ValueError``) arrays that are not a tree of
+    exactly ``depth`` levels over ``n_features`` features, so a loaded
+    file either predicts what it was fitted to or is not used at all.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value", "conf",
-                 "n_features", "depth")
+                 "n_features", "depth", "_walk_feature", "_walk_threshold",
+                 "_walk_kids")
 
     def __init__(
         self,
@@ -130,6 +138,65 @@ class RegressionTree:
         self.conf = np.asarray(conf, dtype=np.float64)
         self.n_features = int(n_features)
         self.depth = int(depth)
+        self._validate()
+        # the compiled walk: a leaf tests feature 0 against +inf and both
+        # of its children are itself, so once a row lands on a leaf every
+        # further step keeps it there (NaN fails ``<=`` and goes right,
+        # which for a leaf is the leaf too). ``_walk_kids`` is the
+        # ``(n_nodes, 2)`` child table flattened: entry ``2 * i + 1`` is
+        # node i's ``x <= threshold`` child, ``2 * i`` its other one.
+        leaf = self.feature < 0
+        nodes = np.arange(self.n_nodes, dtype=np.intp)
+        self._walk_feature = np.where(leaf, 0, self.feature).astype(np.intp)
+        self._walk_threshold = np.where(leaf, np.inf, self.threshold)
+        kids = np.empty((self.n_nodes, 2), dtype=np.intp)
+        kids[:, 0] = np.where(leaf, nodes, self.right)
+        kids[:, 1] = np.where(leaf, nodes, self.left)
+        self._walk_kids = kids.ravel()
+
+    def _validate(self) -> None:
+        """Raise ``ValueError`` unless the arrays form one tree of depth
+        ``self.depth`` whose splits read features in ``[0, n_features)``."""
+        n = self.feature.size
+        arrays = (self.threshold, self.left, self.right, self.value, self.conf)
+        if (self.feature.ndim != 1 or n == 0
+                or any(a.shape != (n,) for a in arrays)):
+            raise ValueError(
+                "tree arrays must be 1-D, non-empty and of equal length"
+            )
+        if self.n_features < 1:
+            raise ValueError(f"tree needs n_features >= 1, got {self.n_features}")
+        leaf = self.feature == -1
+        inner = ~leaf
+        if np.any(self.feature[inner] < 0) or np.any(
+            self.feature[inner] >= self.n_features
+        ):
+            raise ValueError(
+                f"tree splits on a feature outside [0, {self.n_features})"
+            )
+        if np.any(self.left[leaf] != -1) or np.any(self.right[leaf] != -1):
+            raise ValueError("a tree leaf has children")
+        for kids in (self.left[inner], self.right[inner]):
+            if np.any(kids < 0) or np.any(kids >= n):
+                raise ValueError(f"a tree node has a child outside [0, {n})")
+        # walk from the root: a node reached twice means a cycle (or a
+        # shared subtree), and the deepest leaf gives the real depth
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        level, depth = np.array([0]), 0
+        while True:
+            level = level[inner[level]]
+            if not len(level):
+                break
+            level = np.concatenate([self.left[level], self.right[level]])
+            if np.any(seen[level]) or len(np.unique(level)) != len(level):
+                raise ValueError("tree nodes do not form a tree (cycle)")
+            seen[level] = True
+            depth += 1
+        if depth != self.depth:
+            raise ValueError(
+                f"tree is {depth} levels deep but records depth {self.depth}"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -227,9 +294,10 @@ class RegressionTree:
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Route a ``(N, F)`` batch to leaves: ``(values, confidences)``.
 
-        A vectorized gather loop: every row advances one tree level per
-        iteration, so the whole batch costs ``depth`` masked indexing
-        passes regardless of N.
+        Exactly ``depth`` gather steps over the whole batch: each step
+        reads every row's split feature and moves it to one of two
+        children, and a row already at a leaf stays there. Bit-identical
+        to :meth:`predict_one` row by row, NaN and infinities included.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
@@ -238,19 +306,15 @@ class RegressionTree:
             raise ValueError(
                 f"tree expects {self.n_features} features, got {x.shape[1]}"
             )
-        node = np.zeros(len(x), dtype=np.int32)
+        flat = np.ascontiguousarray(x).ravel()
+        base = np.arange(len(x), dtype=np.intp) * self.n_features
+        feat, thr, kids = (self._walk_feature, self._walk_threshold,
+                           self._walk_kids)
+        node = np.zeros(len(x), dtype=np.intp)
         for _ in range(self.depth):
-            f = self.feature[node]
-            active = f >= 0
-            if not np.any(active):
-                break
-            rows = np.nonzero(active)[0]
-            xf = x[rows, f[rows]]
-            go_left = xf <= self.threshold[node[rows]]
-            node[rows] = np.where(
-                go_left, self.left[node[rows]], self.right[node[rows]]
-            )
-        return self.value[node], self.conf[node]
+            go_left = flat.take(base + feat.take(node)) <= thr.take(node)
+            node = kids.take(2 * node + go_left)
+        return self.value.take(node), self.conf.take(node)
 
     def predict_one(self, x: np.ndarray) -> Tuple[float, float]:
         """Scalar reference walk (tests pin :meth:`predict` against this)."""

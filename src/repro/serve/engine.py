@@ -7,10 +7,12 @@ tier, organized as a **three-tier router** per control tick:
 
 - **tier 0 — symbolic fast path**: when a distilled controller
   (:class:`~repro.distill.DistilledPolicy`) is mounted, every pending flow
-  is first routed through the CART tree (one vectorized walk for the whole
-  batch, microseconds). Flows whose leaf confidence clears the calibrated
+  is first routed through the CART tree (one fixed-depth vectorized walk
+  for the whole batch). Flows whose leaf confidence clears the calibrated
   gate — and whose hidden state is not overdue for a refresh — are
-  answered right there and never reach the NN.
+  answered right there and never reach the NN. The tree's hidden-summary
+  features are cached per row: a flow's hidden row changes only when the
+  NN answers it, so the summary is computed then, not on every tick.
 - **tier 1 — batched NN**: the uncertain remainder is gathered into a
   single ``(M, 69)`` batched forward (`FastPolicy.step_batch`, bitwise
   row-consistent for any batch composition with ``M >= 2``). With no
@@ -109,6 +111,10 @@ class ServeConfig:
 class ServeDecision:
     """One served control decision for one flow."""
 
+    # one is built per flow per tick; slots make that cheaper (no field
+    # may take a default while the class declares its own slots)
+    __slots__ = ("flow_id", "ratio", "source", "latency_s", "batch_size")
+
     flow_id: int
     ratio: float
     #: "symbolic" (distilled-tree fast path), "policy" (fresh NN inference),
@@ -169,7 +175,6 @@ class PolicyServer:
         self.fast = fast if fast is not None else FastPolicy(policy)
         self.clock = clock
         self.metrics = ServingMetrics()
-        self.distilled = distilled
         self._chaos = chaos
         self._tick_index = 0  # NN forwards served, for chaos targeting
         #: serving-setup degradations (e.g. a corrupt distilled checkpoint)
@@ -201,6 +206,33 @@ class PolicyServer:
         self._sessions: Dict[int, _FlowSession] = {}
         #: flow_id -> (raw state, optional cwnd hint), insertion-ordered
         self._pending: Dict[int, Tuple[np.ndarray, Optional[float]]] = {}
+        # also builds the _hsum column (see _rebuild_summaries)
+        self.distilled = distilled
+
+    @property
+    def distilled(self):
+        """The mounted tier-0 controller, or ``None``."""
+        return self._distilled
+
+    @distilled.setter
+    def distilled(self, controller) -> None:
+        self._distilled = controller
+        self._rebuild_summaries()
+
+    def _rebuild_summaries(self) -> None:
+        """Recompute the ``_hsum`` column from the hidden table.
+
+        ``_hsum[row]`` is the mounted controller's summary of
+        ``_table[row]``, the tree's hidden-state features. It is kept
+        current only while a controller is mounted, so it is rebuilt
+        whenever one is mounted or the table is restored; with none
+        mounted the column has width 0 and no summary is ever computed.
+        It is derived state, so snapshots do not carry it.
+        """
+        if self._distilled is None:
+            self._hsum = np.zeros((len(self._table), 0))
+        else:
+            self._hsum = self._distilled.summarize(self._table)
 
     # ------------------------------------------------------------------
     # connection lifecycle
@@ -229,6 +261,7 @@ class PolicyServer:
         self._miss_streak[row] = 0
         self._degraded[row] = False
         self._nn_age[row] = 0
+        self._hsum[row] = 0.0  # the summary of an all-zero hidden row
         if rng is None:
             rng = np.random.default_rng((self.config.seed, flow_id))
         self._sessions[flow_id] = _FlowSession(row, rng)
@@ -258,6 +291,9 @@ class PolicyServer:
         self._miss_streak = _double(self._miss_streak, 0)
         self._degraded = _double(self._degraded, False)
         self._nn_age = _double(self._nn_age, 0)
+        hsum = np.zeros((new_cap, self._hsum.shape[1]))
+        hsum[:old_cap] = self._hsum
+        self._hsum = hsum
         self._free.extend(range(new_cap - 1, old_cap - 1, -1))
 
     # ------------------------------------------------------------------
@@ -293,7 +329,7 @@ class PolicyServer:
         sessions = [self._sessions[f] for f in flow_ids]
         rows = np.fromiter((s.row for s in sessions), dtype=np.int64,
                            count=len(sessions))
-        raw = np.stack([pending[f][0] for f in flow_ids])
+        raw = np.array([pending[f][0] for f in flow_ids])
 
         x = normalize_state(raw)
         if self.config.state_mask is not None:
@@ -311,16 +347,16 @@ class PolicyServer:
         decisions: Dict[int, ServeDecision] = {}
 
         # -- tier 0: the distilled symbolic fast path ---------------------
-        if self.distilled is not None:
+        distilled = self._distilled
+        if distilled is not None:
             t0 = self.clock()
-            h_rows = self._table[rows] if self._hdim else None
-            sym_ratios, confs = self.distilled.predict(x, h_rows)
+            sym_ratios, confs = distilled.predict_summarized(x, self._hsum[rows])
             cfg = self.config
             thr = (cfg.confidence_threshold
                    if cfg.confidence_threshold is not None
-                   else self.distilled.conf_threshold)
+                   else distilled.conf_threshold)
             refresh = (cfg.refresh_every if cfg.refresh_every is not None
-                       else self.distilled.refresh_every)
+                       else distilled.refresh_every)
             sym_mask = (
                 (confs >= thr)
                 & (self._nn_age[rows] + 1 < refresh)
@@ -342,15 +378,12 @@ class PolicyServer:
                 )
                 self.metrics.record_tier_latency("symbolic", sym_elapsed)
                 self.metrics.record_decisions("symbolic", n_sym)
-                for i in np.nonzero(sym_mask)[0]:
+                for i, ratio in zip(np.flatnonzero(sym_mask).tolist(),
+                                    ratios_s.tolist()):
                     fid = flow_ids[i]
                     sessions[i].fallback = None
                     decisions[fid] = ServeDecision(
-                        flow_id=fid,
-                        ratio=float(sym_ratios[i]),
-                        source="symbolic",
-                        latency_s=sym_elapsed,
-                        batch_size=n_sym,
+                        fid, ratio, "symbolic", sym_elapsed, n_sym
                     )
             nn_idx = np.nonzero(~sym_mask)[0]
             if len(nn_idx) == 0:
@@ -469,7 +502,10 @@ class PolicyServer:
         if h_next is None or not self._hdim:
             return
         finite = np.isfinite(h_next).all(axis=1)
-        self._table[rows[finite]] = h_next[finite]
+        committed, h_rows = rows[finite], h_next[finite]
+        self._table[committed] = h_rows
+        if self._distilled is not None:
+            self._hsum[committed] = self._distilled.summarize(h_rows)
 
     # ------------------------------------------------------------------
     # crash tolerance: snapshot / restore, hot reload, tier-0 mounting
@@ -491,6 +527,7 @@ class PolicyServer:
         or mismatched snapshot.
         """
         load_snapshot(self, path)
+        self._rebuild_summaries()
 
     def mount_distilled(self, source) -> Optional[str]:
         """Mount (or replace) the tier-0 symbolic controller.

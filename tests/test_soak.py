@@ -215,24 +215,44 @@ class TestFaultObserver:
 
 
 class TestSnapshotRestore:
-    def _server(self, policy, **kw):
+    def _server(self, policy, distilled=None, **kw):
         cfg = ServeConfig(deterministic=True, tick_budget=None, **kw)
-        return PolicyServer(policy, cfg)
+        return PolicyServer(policy, cfg, distilled=distilled)
 
-    def test_restored_decision_stream_is_bit_identical(self, tmp_path, policy):
+    def _straight_and_restored(self, tmp_path, policy, distilled=None):
+        """One decision stream served straight through, and the same
+        stream from a server snapshotted at tick 6 and restored fresh."""
         states = _serve_states(0, 12, 3)
-        straight = self._server(policy)
-        broken = self._server(policy)
+        straight = self._server(policy, distilled)
+        broken = self._server(policy, distilled)
         for flow in range(3):
             straight.connect(flow)
             broken.connect(flow)
         want = _drive(straight, states)
         got = _drive(broken, states, stop=6)
         broken.snapshot(tmp_path / "snap.npz")
-        fresh = self._server(policy)
+        fresh = self._server(policy, distilled)
         fresh.restore(tmp_path / "snap.npz")
         got += _drive(fresh, states, start=6)
+        return want, got
+
+    def test_restored_decision_stream_is_bit_identical(self, tmp_path, policy):
+        want, got = self._straight_and_restored(tmp_path, policy)
         assert got == want
+
+    def test_restored_tiered_decision_stream_is_bit_identical(
+        self, tmp_path, policy
+    ):
+        """The tier-0 tree reads each flow's cached hidden summary, which
+        snapshots do not carry: restore must rebuild it from the table."""
+        from repro.distill import DistilledPolicy
+        from tests.test_serve import golden_tree
+
+        distilled = DistilledPolicy(golden_tree(), conf_threshold=0.5,
+                                    refresh_every=6)
+        want, got = self._straight_and_restored(tmp_path, policy, distilled)
+        assert got == want
+        assert {"symbolic", "policy"} <= {source for *_, source in want}
 
     def test_snapshot_preserves_metrics_and_sessions(self, tmp_path, policy):
         server = self._server(policy)
