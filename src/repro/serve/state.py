@@ -104,7 +104,9 @@ def load_snapshot(server: "PolicyServer", path) -> None:
 
     ``server`` must hold the same policy (hidden dimension) the snapshot
     was taken with. Its existing sessions and pending queue are replaced
-    wholesale.
+    wholesale. A snapshot whose session table does not fit its capacity
+    (a row out of range, shared, or also on the free list) is refused
+    with ``ValueError`` and ``server`` is left as it was.
     """
     from repro.serve.engine import _FlowSession  # local: import cycle
 
@@ -142,17 +144,18 @@ def load_snapshot(server: "PolicyServer", path) -> None:
         pending_states = np.asarray(data["pending/states"])
         pending_cwnd = np.asarray(data["pending/cwnd"])
 
-    server._table = table.reshape(int(meta["capacity"]), server._hdim)
-    server._last_ratio = cols["last_ratio"].astype(np.float64)
-    server._cwnd_est = cols["cwnd_est"].astype(np.float64)
-    server._miss_streak = cols["miss_streak"].astype(np.int64)
-    server._degraded = cols["degraded"].astype(bool)
-    server._nn_age = cols["nn_age"].astype(np.int64)
-    server._free = [int(r) for r in meta["free"]]
-    server._tick_index = int(meta["tick_index"])
-    server.metrics = ServingMetrics.from_state(meta["metrics"])
-
-    server._sessions = {}
+    # everything is read and checked before the first server field changes,
+    # so a refused snapshot leaves the server as it was
+    capacity = int(meta["capacity"])
+    if any(len(col) != capacity for col in cols.values()):
+        raise ValueError(
+            f"server snapshot {path}: a row column is not {capacity} long; "
+            f"refusing to restore"
+        )
+    free = [int(r) for r in meta["free"]]
+    _check_rows(path, capacity, [int(e["row"]) for e in meta["sessions"]], free)
+    table = table.reshape(capacity, server._hdim)
+    sessions = {}
     for entry in meta["sessions"]:
         rng = np.random.default_rng()
         rng.bit_generator.state = entry["rng"]
@@ -161,12 +164,42 @@ def load_snapshot(server: "PolicyServer", path) -> None:
         if fb is not None:
             sess.fallback = make_fallback(fb["name"])
             sess.fallback.load_state(fb.get("state", {}))
-        server._sessions[int(entry["flow_id"])] = sess
-
-    server._pending = {}
+        sessions[int(entry["flow_id"])] = sess
+    pending = {}
     for i, flow_id in enumerate(meta.get("pending_ids", [])):
         cwnd = float(pending_cwnd[i])
-        server._pending[int(flow_id)] = (
+        pending[int(flow_id)] = (
             np.asarray(pending_states[i], dtype=np.float64),
             None if np.isnan(cwnd) else cwnd,
         )
+    metrics = ServingMetrics.from_state(meta["metrics"])
+
+    server._table = table
+    server._last_ratio = cols["last_ratio"].astype(np.float64)
+    server._cwnd_est = cols["cwnd_est"].astype(np.float64)
+    server._miss_streak = cols["miss_streak"].astype(np.int64)
+    server._degraded = cols["degraded"].astype(bool)
+    server._nn_age = cols["nn_age"].astype(np.int64)
+    server._free = free
+    server._tick_index = int(meta["tick_index"])
+    server.metrics = metrics
+    server._sessions = sessions
+    server._pending = pending
+
+
+def _check_rows(path, capacity: int, rows, free) -> None:
+    """``ValueError`` unless the sessions hold distinct rows in
+    ``[0, capacity)`` and the free list holds distinct other ones."""
+    held, listed = set(rows), set(free)
+    outside = sorted(r for r in held | listed if not 0 <= r < capacity)
+    if outside:
+        why = f"rows {outside} are outside [0, {capacity})"
+    elif len(held) < len(rows):
+        why = "two sessions share a row"
+    elif len(listed) < len(free):
+        why = "the free list repeats a row"
+    elif held & listed:
+        why = f"session rows {sorted(held & listed)} are on the free list"
+    else:
+        return
+    raise ValueError(f"server snapshot {path}: {why}; refusing to restore")

@@ -9,16 +9,35 @@ What is pinned here, all structurally (no wall clock):
   wrote) loads through every loader, with the same bytes in every array;
 - a kill between the archive rename and the sidecar rename never turns a
   good checkpoint into a "corrupt" one;
-- a refused ``load_checkpoint`` leaves the trainer exactly as it was.
+- a refused ``load_checkpoint`` leaves the trainer exactly as it was;
+- the one-pass writer, as properties over payloads: ``np.load`` returns
+  every array bit for bit, every member is stored with ZIP64 fields and is
+  byte for byte what ``numpy.lib.format`` writes, the sidecar describes
+  the file on disk, and the archive is the one ``np.savez`` writes at the
+  same clock — at ZIP64 thresholds lowered to a few bytes too, so the
+  paper-scale path runs on small files;
+- a failed write (a refused member, a full disk) leaves the previous
+  archive and its sidecar byte-identical and no ``.tmp`` behind.
 """
 
+import errno
+import io
 import json
 import os
+import struct
+import tempfile
+import time
 import zipfile
 import zlib
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib import format as npy_format
 
 from repro import persist
 from repro.collector.gr_unit import STATE_DIM
@@ -208,3 +227,173 @@ def test_refused_load_leaves_the_trainer_untouched(tmp_path):
     assert set(after) == set(before)
     for key in before:
         assert after[key].tobytes() == before[key].tobytes(), key
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_savez_archive_loads_like_the_writers(kind, tmp_path):
+    make, save, load = KINDS[kind]
+    ours = tmp_path / "ours.npz"
+    save(make(), ours)
+    with np.load(ours, allow_pickle=False) as data:
+        payload = {k: data[k] for k in data.files}
+    theirs = tmp_path / "theirs.npz"
+    np.savez(theirs, **payload)  # the call this writer replaced
+    (tmp_path / "theirs.npz.crc32").write_text(_stamp(theirs))
+    for source in (ours, theirs):
+        again = tmp_path / f"again-{source.name}"
+        save(load(source), again)
+        assert _arrays(again) == _arrays(ours), source.name
+
+
+# -- the one-pass writer, as properties over payloads ----------------------
+
+_DTYPES = st.sampled_from(["<f8", "<f4", "<i8", "|b1", "|u1", "<U3"])
+
+
+@st.composite
+def _members(draw):
+    array = draw(hnp.arrays(
+        draw(_DTYPES), hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    ))
+    layout = draw(st.sampled_from(["as_is", "transposed", "fortran", "strided"]))
+    if layout == "transposed":
+        return array.T
+    if layout == "fortran":
+        return np.asfortranarray(array)
+    if layout == "strided" and array.ndim:
+        return array[::2]
+    return array
+
+
+_PAYLOADS = st.dictionaries(
+    st.text(alphabet="ab/_.\u00e9", min_size=1, max_size=6), _members(), max_size=5,
+)
+
+
+def _clock_1980():
+    """``np.savez`` stamps members with the wall clock; pin it to the
+    writer's fixed 1980-01-01 so the two archives can be compared."""
+    return mock.patch.object(
+        time, "localtime", lambda *_: time.struct_time((1980, 1, 1, 0, 0, 0, 1, 1, -1)),
+    )
+
+
+def _local_header(raw, info):
+    """A member's local header: its two 32-bit size fields and its extra
+    field."""
+    off = info.header_offset
+    sizes = struct.unpack_from("<2L", raw, off + 18)
+    name_len, extra_len = struct.unpack_from("<2H", raw, off + 26)
+    extra = raw[off + 30 + name_len: off + 30 + name_len + extra_len]
+    return sizes, extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=_PAYLOADS)
+def test_writer_round_trips_bit_for_bit(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.npz"
+        persist.write_npz_atomic(path, payload)
+        raw = path.read_bytes()
+        with np.load(path, allow_pickle=False) as data:
+            assert sorted(data.files) == sorted(payload)
+            for key, value in payload.items():
+                got = data[key]
+                assert (got.dtype, got.shape) == (value.dtype, value.shape), key
+                assert got.tobytes() == value.tobytes(), key
+        with zipfile.ZipFile(path) as zf:
+            assert zf.testzip() is None
+            for info in zf.infolist():
+                assert info.compress_type == zipfile.ZIP_STORED
+                size = info.file_size
+                assert _local_header(raw, info) == (
+                    (0xFFFFFFFF, 0xFFFFFFFF), struct.pack("<HHQQ", 1, 16, size, size),
+                )
+                want = io.BytesIO()
+                npy_format.write_array(
+                    want, payload[info.filename[:-4]], allow_pickle=False,
+                )
+                assert zf.read(info) == want.getvalue(), info.filename
+        assert (Path(tmp) / "a.npz.crc32").read_text() == _stamp(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(payload=_PAYLOADS)
+def test_writer_writes_what_savez_writes(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.npz", Path(tmp) / "theirs.npz"
+        persist.write_npz_atomic(ours, payload)
+        with _clock_1980():
+            np.savez(theirs, **payload)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("zip64_limit, count_limit", [
+    (40, persist._FILECOUNT_LIMIT),  # sizes and offsets past the limit
+    (persist._ZIP64_LIMIT, 2),  # only the member count past it
+])
+def test_paper_scale_path_matches_savez_on_small_files(
+    tmp_path, zip64_limit, count_limit
+):
+    """Sizes, offsets and the member count past zipfile's ZIP64 limits:
+    lowered to a few bytes, so ZIP64 central records and end-of-archive
+    records are written — and read back — on a small archive."""
+    payload = {f"m{i}": np.arange(i + 3, dtype=np.float64) for i in range(4)}
+    with mock.patch.multiple(
+        persist, _ZIP64_LIMIT=zip64_limit, _FILECOUNT_LIMIT=count_limit,
+    ), mock.patch.multiple(
+        zipfile, ZIP64_LIMIT=zip64_limit, ZIP_FILECOUNT_LIMIT=count_limit,
+    ), _clock_1980():
+        persist.write_npz_atomic(tmp_path / "ours.npz", payload)
+        np.savez(tmp_path / "theirs.npz", **payload)
+    raw = (tmp_path / "ours.npz").read_bytes()
+    assert raw == (tmp_path / "theirs.npz").read_bytes()
+    assert b"PK\x06\x06" in raw and b"PK\x06\x07" in raw  # ZIP64 end records
+    with np.load(tmp_path / "ours.npz", allow_pickle=False) as data:
+        for key, value in payload.items():
+            assert data[key].tobytes() == value.tobytes()
+
+
+# -- a failed write --------------------------------------------------------
+
+def _previous(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    persist.write_npz_atomic(path, {"w": np.arange(5.0)})
+    return path, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+def test_object_member_is_refused_before_any_file_is_touched(tmp_path):
+    path, before = _previous(tmp_path)
+    payload = {"w": np.arange(5.0), "meta/names": np.array(["a", None], dtype=object)}
+    with pytest.raises(ValueError, match="meta/names"):
+        persist.write_npz_atomic(path, payload)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_full_disk_leaves_the_previous_archive_and_no_tmp(tmp_path, monkeypatch):
+    path, before = _previous(tmp_path)
+
+    class FullDisk:
+        """A file that takes the first write, then reports ENOSPC."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(data)
+
+    monkeypatch.setattr(persist, "open", FullDisk, raising=False)
+    with pytest.raises(OSError) as err:
+        persist.write_npz_atomic(path, {"w": np.arange(7.0), "v": np.ones(3)})
+    assert err.value.errno == errno.ENOSPC
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

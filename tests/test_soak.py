@@ -20,6 +20,7 @@ Covers the new robustness machinery end to end:
   invariant violations, artifacts bit-identical to its fault-free twin.
 """
 
+import copy
 import errno
 import json
 import signal
@@ -37,6 +38,7 @@ from repro.datastore import ShardWriter, StoreFullError, verify_store
 from repro.resources import MemoryGuard, rss_bytes
 from repro.serve.engine import PolicyServer, ServeConfig
 from repro.serve.metrics import ServingMetrics
+from repro.serve.state import _COLUMNS
 from repro.soak import SoakConfig, run_soak
 from repro.soak.report import (
     FaultObserver,
@@ -288,6 +290,62 @@ class TestSnapshotRestore:
         )
         with pytest.raises(ValueError, match="pair"):
             self._server(other).restore(tmp_path / "snap.npz")
+
+    @pytest.mark.parametrize("fault", [
+        "row_out_of_range", "negative_row", "shared_row", "row_on_free_list",
+        "free_row_out_of_range", "free_row_repeated", "short_column",
+    ])
+    def test_malformed_session_table_is_refused_and_server_kept(
+        self, tmp_path, policy, fault
+    ):
+        from repro.persist import write_npz_atomic
+
+        server = self._server(policy)
+        for flow in range(3):
+            server.connect(flow)
+        server.close(1)  # capacity 16: rows 0 and 2 held, row 1 free again
+        server.snapshot(tmp_path / "snap.npz")
+        with np.load(tmp_path / "snap.npz", allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(payload["meta/json"]).decode("utf-8"))
+        sessions, free = meta["sessions"], meta["free"]
+        if fault == "row_out_of_range":
+            sessions[0]["row"] = 999
+        elif fault == "negative_row":
+            sessions[0]["row"] = -1
+        elif fault == "shared_row":
+            sessions[1]["row"] = sessions[0]["row"]
+        elif fault == "row_on_free_list":
+            free.append(sessions[0]["row"])
+        elif fault == "free_row_out_of_range":
+            free.append(meta["capacity"])
+        elif fault == "free_row_repeated":
+            free.append(free[0])
+        else:
+            payload["cols/nn_age"] = payload["cols/nn_age"][:-1]
+        payload["meta/json"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        write_npz_atomic(tmp_path / "bad.npz", payload)  # CRC-valid
+
+        target = self._server(policy)
+        target.connect(0)
+        states = _serve_states(2, 3, 1)
+        _drive(target, states, stop=2)
+        target.submit(0, states[2, 0], cwnd=20.0)  # one pending
+        fields = ("_sessions", "_pending", "_free", "_tick_index", "metrics",
+                  "_table", "_hsum", *(f"_{c}" for c in _COLUMNS))
+        before = {k: getattr(target, k) for k in fields}
+        copies = {k: copy.deepcopy(v) for k, v in before.items()}
+        with pytest.raises(ValueError, match="server snapshot"):
+            target.restore(tmp_path / "bad.npz")
+        for key in fields:
+            now = getattr(target, key)
+            assert now is before[key], key
+            if isinstance(now, np.ndarray):
+                assert np.array_equal(now, copies[key]), key
+        assert target._free == copies["_free"]
+        assert list(target._sessions) == [0] and list(target._pending) == [0]
 
     def test_real_sigkill_then_restore_is_bit_identical(self, tmp_path, policy):
         # an uninterrupted reference stream, in-process

@@ -8,6 +8,7 @@ import pytest
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
+from repro.netsim.packet import Packet
 from repro.netsim.topo import dumbbell_topology
 from repro.netsim.traces import FlatRate
 from repro.tcp.cc_base import CongestionControl
@@ -186,3 +187,28 @@ class TestReceiver:
         # the in-order prefix plus whatever is buffered beyond the next hole
         r = flow.receiver
         assert r.total_packets == r.rcv_next + len(r._received)
+
+
+class TestRttEstimator:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="on_ack folds the sample into srtt/rttvar, then "
+        "_process_cumulative_ack folds latest_rtt in again; the fix "
+        "re-records every simulator golden",
+    )
+    def test_one_fresh_ack_is_one_rfc6298_step(self):
+        # RFC 6298 sec. 2.3: one measurement R' gives exactly
+        #   RTTVAR <- 3/4 RTTVAR + 1/4 |SRTT - R'|,  SRTT <- 7/8 SRTT + 1/8 R'
+        loop, net, flow = make_flow(rtt=1.0)  # no real ACK returns in time
+        loop.run_until(0.05)
+        flow.start()  # packets 0..9 leave at t = 0.05
+        loop.run_until(0.15)
+        sender = flow.sender
+        sender.srtt, sender.rttvar = 0.2, 0.05
+        sender.on_ack(
+            Packet(0, 0, is_ack=True, ack_seq=1, ack_of_sent_time=0.05)
+        )
+        sample = 0.15 - 0.05
+        assert sender.latest_rtt == pytest.approx(sample)
+        assert sender.rttvar == pytest.approx(0.75 * 0.05 + 0.25 * abs(0.2 - sample))
+        assert sender.srtt == pytest.approx(0.875 * 0.2 + 0.125 * sample)
