@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro collect --scale mini --out pool.npz [--store shards/]
-    python -m repro collect --topology parking_lot --out pool.npz
-    python -m repro train   --pool pool.npz|shards/ --steps 300 --out sage.npz
+    python -m repro collect --scale mini --out pool/
+    python -m repro collect --topology parking_lot --out pool/
+    python -m repro train   --pool pool/ --steps 300 --out sage.npz
     python -m repro league  --schemes cubic,vegas,bbr2 [--agent sage.npz --serve]
     python -m repro deploy  --agent sage.npz --bw 24 --rtt 0.04
     python -m repro topo describe parking_lot --segments 3
@@ -12,8 +12,8 @@ Usage::
     python -m repro aqm matrix --schemes cubic,vegas --out aqm_matrix.json
     python -m repro aqm trace --shards 2 --out-dir traces/
     python -m repro aqm learn traces/queue_trace_*.npz --out ecn_model.npz
-    python -m repro distill fit  --agent sage.npz --pool pool.npz --out tree.npz
-    python -m repro distill eval --model tree.npz --agent sage.npz --pool pool.npz
+    python -m repro distill fit  --agent sage.npz --pool pool/ --out tree.npz
+    python -m repro distill eval --model tree.npz --agent sage.npz --pool pool/
     python -m repro pipeline run --workdir run/ [--fault-plan plan.json]
     python -m repro pipeline resume --workdir run/
     python -m repro pipeline status --workdir run/ [--json]
@@ -21,7 +21,6 @@ Usage::
         --out plan.json
     python -m repro soak --workdir soak/ --duration 60 --seed 0 \
         --out BENCH_soak.json
-    python -m repro pool pack pool.npz shards/     # legacy .npz -> shards
     python -m repro pool merge w0/ w1/ -o shards/  # per-worker dirs -> one
     python -m repro pool verify shards/            # audit + quarantine
     python -m repro pool stats shards/             # inventory + checksums
@@ -51,7 +50,6 @@ def _cmd_collect(args) -> int:
     from repro.core.training import collect_pool
 
     schemes = args.schemes.split(",") if args.schemes else None
-    store = args.store or None
     aqms = [a.strip() for a in args.aqm.split(",") if a.strip()]
     if args.topology:
         envs = topology_class_environments(args.topology)
@@ -73,16 +71,12 @@ def _cmd_collect(args) -> int:
         schemes=schemes,
         progress=(lambda msg: print(msg)) if args.verbose else None,
         workers=args.workers,
-        store=store,
-        shard_bytes=args.shard_mb * (1 << 20) if store else None,
+        store=args.out,
+        shard_bytes=args.shard_mb << 20,
         max_task_seconds=args.task_timeout,
     )
     print(pool.summary())
-    if store:
-        print(f"streamed pool into sharded store {store}")
-    else:
-        pool.save(args.out)
-        print(f"saved pool to {args.out}")
+    print(f"streamed pool into sharded store {args.out}")
     return 0
 
 
@@ -90,9 +84,9 @@ def _cmd_train(args) -> int:
     from repro.core.crr import CRRConfig
     from repro.core.networks import NetworkConfig
     from repro.core.training import train_sage_on_pool
-    from repro.datastore import open_pool
+    from repro.datastore import ShardedPool
 
-    pool = open_pool(args.pool)
+    pool = ShardedPool.open(args.pool)
     net = NetworkConfig(
         enc_dim=args.enc_dim, gru_dim=args.gru_dim,
         n_components=args.components, n_atoms=args.atoms,
@@ -167,13 +161,13 @@ def _cmd_deploy(args) -> int:
 
 
 def _cmd_distill_fit(args) -> int:
-    from repro.datastore import open_pool
+    from repro.datastore import ShardedPool
     from repro.distill import DistillConfig, fit_distilled
 
     agent = _load_agent(
         args.agent, args.enc_dim, args.gru_dim, args.components, args.atoms
     )
-    pool = open_pool(args.pool)
+    pool = ShardedPool.open(args.pool)
     cfg = DistillConfig(
         max_depth=args.max_depth,
         max_leaves=args.max_leaves,
@@ -195,29 +189,19 @@ def _cmd_distill_fit(args) -> int:
 
 
 def _cmd_distill_eval(args) -> int:
-    from repro.datastore import open_pool
+    from repro.datastore import ShardedPool
     from repro.distill import DistilledPolicy, evaluate_distilled
 
     agent = _load_agent(
         args.agent, args.enc_dim, args.gru_dim, args.components, args.atoms
     )
     distilled = DistilledPolicy.load(args.model)
-    pool = open_pool(args.pool)
+    pool = ShardedPool.open(args.pool)
     report = evaluate_distilled(
         distilled, agent.policy, pool, max_samples=args.max_samples or None
     )
     for key, val in report.items():
         print(f"{key:>26}: {val}")
-    return 0
-
-
-def _cmd_pool_pack(args) -> int:
-    from repro.datastore import pack_pool, store_stats
-
-    pool = pack_pool(args.source, args.out, shard_bytes=args.shard_mb << 20)
-    print(store_stats(args.out))
-    print(f"packed {args.source} -> {args.out} "
-          f"({len(pool.manifest.shards)} shards)")
     return 0
 
 
@@ -232,9 +216,9 @@ def _cmd_pool_merge(args) -> int:
 
 
 def _cmd_pool_verify(args) -> int:
-    from repro.datastore import verify
+    from repro.datastore import verify_store
 
-    report = verify(args.store, quarantine=not args.no_quarantine)
+    report = verify_store(args.store, quarantine=not args.no_quarantine)
     print(report.format())
     if not report.clean and args.strict:
         return 1
@@ -512,12 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collect", help="collect the pool of policies")
     p.add_argument("--scale", choices=("mini", "small", "full"), default="mini")
     p.add_argument("--schemes", default="", help="comma-separated subset")
-    p.add_argument("--out", default="pool.npz")
-    p.add_argument("--store", default="",
-                   help="stream rollouts into a sharded store directory "
-                        "instead of a monolithic .npz (overrides --out)")
+    p.add_argument("--out", default="pool",
+                   help="sharded store directory the rollouts stream into")
     p.add_argument("--shard-mb", type=int, default=32, dest="shard_mb",
-                   help="per-shard byte budget for --store, in MiB")
+                   help="per-shard byte budget, in MiB")
     p.add_argument("--task-timeout", type=float, default=None,
                    dest="task_timeout", metavar="SECONDS",
                    help="per-rollout watchdog deadline; hung workers are "
@@ -538,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train Sage offline on a saved pool")
     p.add_argument("--pool", required=True,
-                   help="pool .npz or sharded store directory")
+                   help="sharded store directory (repro collect --out)")
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--checkpoints", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
@@ -572,19 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     pool_sub = p.add_subparsers(dest="pool_command", required=True)
 
     q = pool_sub.add_parser(
-        "pack", help="convert a legacy .npz pool into a sharded store"
+        "merge", help="merge stores (e.g. per-worker shard dirs)"
     )
-    q.add_argument("source", help="legacy pool .npz (or an existing store)")
-    q.add_argument("out", help="output store directory")
-    q.add_argument("--shard-mb", type=int, default=32, dest="shard_mb",
-                   help="per-shard byte budget, in MiB")
-    q.set_defaults(func=_cmd_pool_pack)
-
-    q = pool_sub.add_parser(
-        "merge", help="merge stores / pools (e.g. per-worker shard dirs)"
-    )
-    q.add_argument("sources", nargs="+",
-                   help="store directories or legacy .npz pools, in order")
+    q.add_argument("sources", nargs="+", help="store directories, in order")
     q.add_argument("-o", "--out", required=True, help="output store directory")
     q.add_argument("--shard-mb", type=int, default=32, dest="shard_mb")
     q.set_defaults(func=_cmd_pool_merge)
@@ -831,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--agent", required=True, help="trained policy .npz")
     q.add_argument("--pool", required=True,
-                   help="pool .npz or sharded store directory")
+                   help="sharded store directory (repro collect --out)")
     q.add_argument("--out", default="distilled.npz")
     q.add_argument("--max-depth", type=int, default=12, dest="max_depth")
     q.add_argument("--max-leaves", type=int, default=256, dest="max_leaves")
@@ -854,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True, help="distilled controller .npz")
     q.add_argument("--agent", required=True, help="trained policy .npz")
     q.add_argument("--pool", required=True,
-                   help="pool .npz or sharded store directory")
+                   help="sharded store directory (repro collect --out)")
     q.add_argument("--max-samples", type=int, default=0, dest="max_samples")
     _add_net_args(q)
     q.set_defaults(func=_cmd_distill_eval)

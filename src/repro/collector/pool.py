@@ -4,66 +4,21 @@ The pool stores trajectories ``(states, actions, rewards)`` labeled with the
 scheme and environment that produced them. It supports:
 
 - building from rollouts (:meth:`PolicyPool.add`);
-- persistence as a single ``.npz`` (:meth:`save` / :meth:`load`) — data is
-  collected *once*, then every environment is "unplugged";
 - batch sampling of fixed-length sequence windows for the recurrent CRR
   learner (:meth:`sample_sequences`);
 - filtering by scheme (Sage-Top / Sage-Top4 pool-diversity ablations).
+
+This is the in-memory pool. On disk a pool is always a sharded store
+(:mod:`repro.datastore`), written once and then sampled by every training
+run: data is collected *once*, then every environment is "unplugged".
 """
 
 from __future__ import annotations
 
-import zipfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-
-
-def _escape_meta(field: str) -> str:
-    """Escape ``\\`` and the ``|`` separator so any scheme/env_id round-trips."""
-    return field.replace("\\", "\\\\").replace("|", "\\|")
-
-
-def _split_meta(meta: str) -> List[str]:
-    """Split a meta line on unescaped ``|`` and unescape the fields."""
-    fields: List[str] = []
-    current: List[str] = []
-    escaped = False
-    for ch in meta:
-        if escaped:
-            current.append(ch)
-            escaped = False
-        elif ch == "\\":
-            escaped = True
-        elif ch == "|":
-            fields.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if escaped:
-        raise ValueError(f"malformed pool meta (dangling escape): {meta!r}")
-    fields.append("".join(current))
-    return fields
-
-
-def parse_meta(meta: str) -> Tuple[str, str, bool]:
-    """Decode one ``scheme|env_id|multi_flow`` meta line.
-
-    Raises a clear :class:`ValueError` on a malformed line instead of
-    silently mis-assigning fields (the historical ``split("|")`` broke as
-    soon as an ``env_id`` contained ``|``).
-    """
-    fields = _split_meta(meta)
-    if len(fields) != 3 or fields[2] not in ("0", "1"):
-        raise ValueError(
-            f"malformed pool meta entry {meta!r}: expected "
-            "'scheme|env_id|multi_flow' with multi_flow in {0, 1}"
-        )
-    scheme, env_id, multi = fields
-    return scheme, env_id, multi == "1"
 
 
 def draw_window_starts(
@@ -236,69 +191,6 @@ class PolicyPool:
         done; the next :meth:`sample_sequences` rebuilds it transparently.
         """
         self._concat = None
-
-    # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        """Persist the pool as one compressed ``.npz``."""
-        path = Path(path)
-        payload: Dict[str, np.ndarray] = {
-            "n": np.array([len(self.trajectories)]),
-        }
-        meta = []
-        for i, t in enumerate(self.trajectories):
-            if t.length == 0:
-                raise ValueError(
-                    f"refusing to save zero-length trajectory "
-                    f"{t.scheme!r} on {t.env_id!r} (index {i})"
-                )
-            payload[f"s{i}"] = t.states
-            payload[f"a{i}"] = t.actions
-            payload[f"r{i}"] = t.rewards
-            meta.append(
-                f"{_escape_meta(t.scheme)}|{_escape_meta(t.env_id)}"
-                f"|{int(t.multi_flow)}"
-            )
-        payload["meta"] = np.array(meta)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, **payload)
-
-    @classmethod
-    def load(cls, path) -> "PolicyPool":
-        path = Path(path)
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (zipfile.BadZipFile, OSError, ValueError) as exc:
-            raise ValueError(
-                f"corrupt or truncated pool file {path}: {exc}"
-            ) from exc
-        with data:
-            try:
-                n = int(data["n"][0])
-                meta = [str(m) for m in data["meta"]]
-                trajectories = []
-                for i in range(n):
-                    scheme, env_id, multi = parse_meta(meta[i])
-                    trajectories.append(
-                        Trajectory(
-                            scheme=scheme,
-                            env_id=env_id,
-                            multi_flow=multi,
-                            states=data[f"s{i}"],
-                            actions=data[f"a{i}"],
-                            rewards=data[f"r{i}"],
-                        )
-                    )
-            except (KeyError, IndexError) as exc:
-                raise ValueError(
-                    f"corrupt pool file {path}: missing entry {exc}"
-                ) from exc
-            except (zipfile.BadZipFile, zlib.error, OSError) as exc:
-                # a truncated archive can pass np.load's header check and
-                # only fail once a member is decompressed
-                raise ValueError(
-                    f"corrupt or truncated pool file {path}: {exc}"
-                ) from exc
-        return cls(trajectories)
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

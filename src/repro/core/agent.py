@@ -9,7 +9,7 @@ Since the serving engine landed, ``SageAgent`` is a thin client of
 :class:`~repro.serve.engine.PolicyServer`: ``reset()`` opens a single-flow
 serving session (no deadline — offline rollouts always take the fresh
 policy path) and ``act()`` is one ``serve_one`` call. A batch of one rides
-the server's legacy 1-D fast path, so the agent's decision stream —
+the server's 1-D gemv path, so the agent's decision stream —
 including the stochastic deployment mode's RNG consumption — is
 bit-identical to the historical in-process implementation. Multi-flow
 deployments should talk to a shared :class:`PolicyServer` directly (or via

@@ -2,9 +2,9 @@
 
 Sage's offline pool *is* the system: >1000 environments x 13 schemes of
 ``{state, action, reward}`` trajectories, collected once and then sampled
-for every training run. The monolithic ``PolicyPool`` ``.npz`` must fit in
-RAM twice over (arrays + concat cache); this package is the out-of-core
-replacement:
+for every training run. The in-memory ``PolicyPool`` must fit in RAM twice
+over (arrays + concat cache); this package is the out-of-core pool and the
+only form a pool takes on disk:
 
 - :class:`ShardWriter` (``writer``) — append-only streaming ingest with a
   fixed shard-size budget, per-file CRC32 checksums, and atomic
@@ -16,17 +16,10 @@ replacement:
   read-only ``mmap``'d shards with a bounded hot-shard LRU (each file's
   ``.npy`` header is parsed once, so an LRU miss is one ``mmap``);
   bit-identical draws for the same seed;
-- ``convert`` — ``pool pack / merge / verify / stats`` plumbing, including
-  :func:`open_pool`, which opens either pool flavor by path.
+- ``convert`` — :func:`pack_pool`, and the ``pool merge / stats`` plumbing.
 """
 
-from repro.datastore.convert import (
-    merge_stores,
-    open_pool,
-    pack_pool,
-    store_stats,
-    verify,
-)
+from repro.datastore.convert import merge_stores, pack_pool, store_stats
 from repro.datastore.manifest import (
     Manifest,
     ShardRecord,
@@ -52,9 +45,7 @@ __all__ = [
     "TrajectoryRecord",
     "VerifyReport",
     "merge_stores",
-    "open_pool",
     "pack_pool",
     "store_stats",
-    "verify",
     "verify_store",
 ]

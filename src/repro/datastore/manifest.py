@@ -162,16 +162,21 @@ class Manifest:
 
     @classmethod
     def load(cls, root) -> "Manifest":
+        """Read the manifest of the store directory ``root``."""
         root = Path(root)
-        path = root / MANIFEST_NAME if root.is_dir() else root
-        if not path.exists():
-            raise FileNotFoundError(
-                f"no {MANIFEST_NAME} in {path.parent} — not a trajectory store "
-                "(use `repro pool pack` to convert a legacy .npz pool)"
+        path = root / MANIFEST_NAME
+        if root.is_file():
+            hint = (
+                "; .npz pools are no longer read, re-collect the pool with "
+                "`repro collect --out DIR`" if root.suffix == ".npz" else ""
             )
+            raise ValueError(f"{root} is not a trajectory store: it is a file{hint}")
+        if not path.exists():
+            reason = f"no {MANIFEST_NAME} in it" if root.is_dir() else "no such directory"
+            raise FileNotFoundError(f"{root} is not a trajectory store: {reason}")
         try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            data = json.loads(path.read_bytes())
+        except ValueError as exc:  # also a manifest that is not UTF-8
             raise ValueError(f"corrupt manifest {path}: {exc}") from exc
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:

@@ -16,7 +16,8 @@ logs one row per *admitted* packet:
 (``y = sojourn > target``): the predictor learns, from how the heuristic
 queue actually behaved, to recognise *at enqueue* the packets that will go
 on to blow the delay target. Traces persist as schema-versioned ``.npz``
-shards so fits are reproducible and CI can ship tiny fixtures.
+shards with a CRC32 sidecar (:mod:`repro.persist`) so fits are reproducible
+and CI can ship tiny fixtures.
 
 The hook is ``None`` by default and the link's fast path does not change
 when it is absent, so droptail event streams stay bit-identical.
@@ -24,7 +25,6 @@ when it is absent, so droptail event streams stay bit-identical.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.netsim.ecn_model import FEATURES
 from repro.netsim.packet import Packet
+from repro.persist import verify_sidecar, write_npz_atomic
 
 __all__ = ["QueueTelemetryRecorder", "TRACE_SCHEMA_VERSION", "load_traces"]
 
@@ -107,21 +108,12 @@ class QueueTelemetryRecorder:
     def save(self, path) -> Path:
         """Write completed rows as a schema-versioned trace shard."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         arrays = self.to_arrays()
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                **{
-                    "meta/schema_version": np.array(
-                        [TRACE_SCHEMA_VERSION], dtype=np.int64
-                    ),
-                    "trace/features": arrays["features"],
-                    "trace/sojourns": arrays["sojourns"],
-                },
-            )
-        os.replace(tmp, path)
+        write_npz_atomic(path, {
+            "meta/schema_version": np.array([TRACE_SCHEMA_VERSION], dtype=np.int64),
+            "trace/features": arrays["features"],
+            "trace/sojourns": arrays["sojourns"],
+        })
         return path
 
 
@@ -135,6 +127,7 @@ def load_traces(paths) -> Dict[str, np.ndarray]:
     sojourns: List[np.ndarray] = []
     for p in paths:
         p = Path(p)
+        verify_sidecar(p, "queue trace")
         try:
             data = np.load(p, allow_pickle=False)
         except Exception as exc:

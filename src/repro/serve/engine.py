@@ -44,15 +44,14 @@ from __future__ import annotations
 
 import copy
 import time
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.collector.gr_unit import STATE_DIM, normalize_state
 from repro.core.networks import FastPolicy, SagePolicy
+from repro.nn.serial import read_params
 from repro.resources import MemoryGuard
 from repro.serve.fallback import RatioFallback, make_fallback
 from repro.serve.metrics import ServingMetrics
@@ -556,20 +555,13 @@ class PolicyServer:
 
     def _read_policy_params(self, path) -> Dict[str, np.ndarray]:
         """Read a policy state dict from an agent- or trainer-format npz."""
-        path = Path(path)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                keys = list(data.files)
-                if any(k.startswith("policy/") for k in keys):
-                    return {
-                        k[len("policy/"):]: data[k]
-                        for k in keys if k.startswith("policy/")
-                    }
-                return {k: data[k] for k in keys}
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            raise ValueError(
-                f"checkpoint {path} is not a valid .npz archive: {exc}"
-            ) from exc
+        state = read_params(path)
+        if any(k.startswith("policy/") for k in state):
+            return {
+                k[len("policy/"):]: v
+                for k, v in state.items() if k.startswith("policy/")
+            }
+        return state
 
     def reload_policy(
         self,

@@ -122,6 +122,21 @@ class TestEcnPredictor:
             EcnPredictor.load(path)
 
 
+def three_row_recorder():
+    """A recorder holding three completed rows from a tail-drop queue."""
+    from repro.netsim.aqm import TailDrop
+
+    rec = QueueTelemetryRecorder()
+    q = TailDrop(capacity_bytes=30_000)
+    for i in range(3):
+        p = pkt(i)
+        q.enqueue(p, i * 0.001)
+        rec.on_enqueue(q, p, i * 0.001)
+    for _ in range(3):
+        rec.on_dequeue(q.dequeue(0.01), 0.01)
+    return rec
+
+
 class TestTelemetryRecorder:
     def test_records_feature_rows_and_sojourns(self):
         from repro.netsim.aqm import TailDrop
@@ -161,20 +176,26 @@ class TestTelemetryRecorder:
         assert rec.dropped_rows == 2
 
     def test_save_load_roundtrip(self, tmp_path):
-        from repro.netsim.aqm import TailDrop
-
-        rec = QueueTelemetryRecorder()
-        q = TailDrop(capacity_bytes=30_000)
-        for i in range(3):
-            p = pkt(i)
-            q.enqueue(p, i * 0.001)
-            rec.on_enqueue(q, p, i * 0.001)
-        for _ in range(3):
-            rec.on_dequeue(q.dequeue(0.01), 0.01)
+        rec = three_row_recorder()
         path = rec.save(tmp_path / "shard.npz")
         data = load_traces([path, path])  # concatenation works
         assert data["features"].shape == (6, FEATURE_DIM)
         assert data["sojourns"].shape == (6,)
+
+    def test_load_checks_the_sidecar(self, tmp_path):
+        rec = three_row_recorder()
+        path = rec.save(tmp_path / "shard.npz")
+        good = path.read_bytes()
+        bad = bytearray(good)
+        bad[len(bad) // 2] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match="shard.npz fails its integrity check"):
+            load_traces(path)
+        # a shard with no sidecar is read unchecked
+        path.write_bytes(good)
+        (tmp_path / "shard.npz.crc32").unlink()
+        data = load_traces(path)
+        assert np.array_equal(data["sojourns"], rec.to_arrays()["sojourns"])
 
     def test_load_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "foreign.npz"

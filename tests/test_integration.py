@@ -116,12 +116,12 @@ class TestOfflinePipeline:
         assert result.length > 100
 
     def test_pool_save_load_then_train(self, tmp_path):
-        envs = [flat_env(bw=12.0, dur=3.0, env_id="p2")]
-        pool = collect_pool(envs, schemes=["cubic"])
-        pool.save(tmp_path / "pool.npz")
-        from repro.collector.pool import PolicyPool
+        from repro.datastore import ShardedPool
 
-        loaded = PolicyPool.load(tmp_path / "pool.npz")
+        envs = [flat_env(bw=12.0, dur=3.0, env_id="p2")]
+        collect_pool(envs, schemes=["cubic"], store=tmp_path / "pool")
+        loaded = ShardedPool.open(tmp_path / "pool")
+        assert len(loaded) == 1
         run = train_sage_on_pool(
             loaded, n_steps=4, n_checkpoints=2, net_config=TINY,
             crr_config=CRRConfig(batch_size=4, seq_len=4),

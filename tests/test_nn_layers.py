@@ -305,6 +305,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="corrupt.npz.*regenerate"):
             load_params(m, bad)
 
+    def test_sidecar_refuses_a_flipped_byte(self, tmp_path):
+        a = Sequential(Linear(3, 4, RNG))
+        path = tmp_path / "model.npz"
+        save_params(a, path)
+        good = path.read_bytes()
+        bad = bytearray(good)
+        bad[len(bad) // 2] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        b = Sequential(Linear(3, 4, RNG))
+        with pytest.raises(ValueError, match="model.npz fails its integrity check"):
+            load_params(b, path)
+        # a file with no sidecar (the shipped model) is read unchecked
+        path.write_bytes(good)
+        (tmp_path / "model.npz.crc32").unlink()
+        load_params(b, path)
+        x = Tensor(RNG.standard_normal((2, 3)))
+        np.testing.assert_array_equal(a(x).data, b(x).data)
+
     def test_missing_file_still_file_not_found(self, tmp_path):
         m = Sequential(Linear(3, 4, RNG))
         with pytest.raises(FileNotFoundError):

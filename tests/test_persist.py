@@ -1,4 +1,4 @@
-"""The one artifact writer (repro.persist) and the four kinds that use it.
+"""The one artifact writer (repro.persist) and the six kinds that use it.
 
 What is pinned here, all structurally (no wall clock):
 
@@ -42,11 +42,13 @@ from numpy.lib import format as npy_format
 from repro import persist
 from repro.collector.gr_unit import STATE_DIM
 from repro.collector.pool import PolicyPool, Trajectory
+from repro.core.agent import SageAgent
 from repro.core.crr import CRRConfig
 from repro.core.networks import NetworkConfig, SagePolicy
 from repro.distill import FEATURE_DIM, DistilledPolicy
 from repro.distill.tree import RegressionTree
 from repro.netsim.ecn_model import EcnPredictor
+from repro.netsim.telemetry import QueueTelemetryRecorder, load_traces
 from repro.serve.engine import PolicyServer, ServeConfig
 from repro.train.engine import FastCRRTrainer
 
@@ -115,6 +117,22 @@ def _distilled():
     return DistilledPolicy(tree, conf_threshold=0.5, refresh_every=7)
 
 
+def _recorder():
+    rec = QueueTelemetryRecorder()
+    rows = np.random.default_rng(4).random((5, 5))
+    rec.features = [tuple(row[:4]) for row in rows]
+    rec.sojourns = list(rows[:, 4])
+    return rec
+
+
+def _load_recorder(path):
+    data = load_traces(path)
+    rec = QueueTelemetryRecorder()
+    rec.features = [tuple(row) for row in data["features"]]
+    rec.sojourns = list(data["sojourns"])
+    return rec
+
+
 #: kind -> (make an object, save it to a path, load a path into a new object)
 KINDS = {
     "checkpoint": (
@@ -126,6 +144,11 @@ KINDS = {
         lambda: EcnPredictor.init(hidden=8, seed=9),
         EcnPredictor.save, EcnPredictor.load,
     ),
+    "policy": (
+        lambda: SageAgent(SagePolicy(TINY, np.random.default_rng(2))),
+        SageAgent.save, lambda path: SageAgent.load(path, net_config=TINY),
+    ),
+    "trace": (_recorder, QueueTelemetryRecorder.save, _load_recorder),
 }
 
 

@@ -103,8 +103,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="pool-collection worker processes")
     parser.add_argument("--pool", type=Path, default=None,
-                        help="reuse a previously saved pool .npz instead of "
-                             "collecting one")
+                        help="reuse a sharded store written by `repro "
+                             "collect --out DIR` instead of collecting one")
     parser.add_argument("--out-dir", type=Path, default=REPO / "models")
     parser.add_argument("--tiny", action="store_true",
                         help="smoke-test scale: 3 envs, 30 steps, no "
@@ -117,9 +117,9 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     if args.pool is not None:
-        from repro.collector.pool import PolicyPool
+        from repro.datastore import ShardedPool
 
-        pool = PolicyPool.load(args.pool)
+        pool = ShardedPool.open(args.pool)
         print(f"loaded pool {args.pool}", flush=True)
     else:
         print(f"collecting pool: {len(envs)} envs x {len(schemes)} schemes "
@@ -153,6 +153,7 @@ def main(argv=None) -> int:
           flush=True)
     if not args.tiny and not (checks["throughput_ok"] and checks["owd_ok"]):
         model_path.unlink(missing_ok=True)
+        Path(f"{model_path}.crc32").unlink(missing_ok=True)
         print("FAILED validation — checkpoint removed", flush=True)
         return 1
 
